@@ -75,7 +75,7 @@ def _cmd_strip(args) -> int:
     g = _read_graph(args.path)
     res = run_strip(g, args.k, **_cap_kwargs(args))
     res = enforce_parity(res, args.k)
-    rep = verify_K(res.K, args.k, ambient_n=g.n, degrees=res.k_degrees)
+    rep = verify_K(res.K, args.k, ambient_n=g.n)
     if args.out:
         _emit(format_edge_text(res.K), args.out)
     summary = json.loads(res.summary_json())

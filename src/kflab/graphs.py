@@ -1,9 +1,14 @@
-"""Simple-graph and multigraph containers plus the edge-list text format.
+"""The graph container plus the edge-list text format.
 
-Graph is a canonicalized simple undirected graph: rows of its edge array
-satisfy u < v and are sorted lexicographically, so equal graphs serialize
-to identical bytes.  Multigraph keeps multiplicities and loop counts and
-is what configuration projections feed into the stripping machinery.
+Graph is a canonicalized undirected graph: rows of its edge array are
+distinct, satisfy u < v and are sorted lexicographically, so equal graphs
+serialize to identical bytes.  A multigraph (what configuration
+projections feed into the stripping machinery) is the same container with
+per-row multiplicities `mult` and per-vertex loop counts `loops`; both are
+None when every edge is single and there are no loops, so a multiset
+without repeats is an ordinary simple graph.  Degrees count multiplicity,
+and a loop adds 2 to its vertex's degree without making the vertex its own
+neighbor.
 
 Edge-list text format: first line "n m", then m lines "u v", 0-indexed,
 u < v, sorted lexicographically.
@@ -11,32 +16,49 @@ u < v, sorted lexicographically.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["Graph", "Multigraph", "parse_edge_text", "format_edge_text"]
+__all__ = ["Graph", "parse_edge_text", "format_edge_text"]
+
+
+def _pairs(n: int, edges) -> np.ndarray:
+    """Edges as an (m, 2) int64 array with every endpoint in [0, n)."""
+    if n < 0:
+        raise DomainError(f"vertex count must be >= 0, got {n}")
+    arr = np.asarray(edges, dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DomainError("edges must be pairs")
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise DomainError("edge endpoint out of range")
+    return arr
 
 
 class Graph:
-    """Immutable simple undirected graph with canonical edge order."""
+    """Immutable undirected graph with canonical edge order.
 
-    __slots__ = ("n", "edge_array", "_xadj", "_adjv", "_degrees")
+    Graph(n, edges) accepts only simple graphs; Graph.from_pairs builds a
+    multigraph.  m counts distinct edges (rows), not multiplicities.
+    """
 
-    def __init__(self, n: int, edges, *, _canonical: bool = False):
-        if n < 0:
-            raise DomainError(f"vertex count must be >= 0, got {n}")
-        self.n = int(n)
-        arr = np.asarray(edges, dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise DomainError("edges must be pairs")
-        if not _canonical:
-            if arr.size and (arr.min() < 0 or arr.max() >= n):
-                raise DomainError("edge endpoint out of range")
+    __slots__ = (
+        "n", "edge_array", "mult", "loops", "_xadj", "_adjv", "_adjm", "_degrees"
+    )
+
+    def __init__(self, n: int, edges, *, _canonical: bool = False,
+                 mult=None, loops=None):
+        """Simple graph from distinct non-loop pairs.  With _canonical the
+        pairs are trusted to be in canonical order already, and mult and
+        loops may give a multigraph's multiplicities and loop counts."""
+        if _canonical:
+            if n < 0:
+                raise DomainError(f"vertex count must be >= 0, got {n}")
+            arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        else:
+            arr = _pairs(n, edges)
             if np.any(arr[:, 0] == arr[:, 1]):
                 raise DomainError("self-loops not allowed in a simple graph")
             arr = np.sort(arr, axis=1)
@@ -46,40 +68,83 @@ class Graph:
                 dup = np.all(arr[1:] == arr[:-1], axis=1)
                 if dup.any():
                     raise DomainError("duplicate edges not allowed in a simple graph")
+        self.n = int(n)
         self.edge_array = arr
+        # normalized so that a multiset without repeats or loops is simple
+        if mult is not None and np.all(mult == 1):
+            mult = None
+        if loops is not None and not np.any(loops):
+            loops = None
+        self.mult = None if mult is None else np.asarray(mult, dtype=np.int64)
+        self.loops = None if loops is None else np.asarray(loops, dtype=np.int64)
         self._xadj = None
         self._adjv = None
+        self._adjm = None
         self._degrees = None
+
+    @classmethod
+    def from_pairs(cls, n: int, pairs) -> "Graph":
+        """A multigraph on unordered pairs; a pair may repeat or be a loop."""
+        arr = _pairs(n, pairs)
+        lo, hi = arr.min(axis=1), arr.max(axis=1)
+        is_loop = lo == hi
+        keys, mult = np.unique(lo[~is_loop] * n + hi[~is_loop], return_counts=True)
+        return cls(
+            n,
+            np.column_stack([keys // n, keys % n]),
+            _canonical=True,
+            mult=mult,
+            loops=np.bincount(lo[is_loop], minlength=n),
+        )
 
     @property
     def m(self) -> int:
         return len(self.edge_array)
 
+    def is_simple(self) -> bool:
+        return self.mult is None and self.loops is None
+
     @property
     def degrees(self) -> np.ndarray:
         if self._degrees is None:
-            self._degrees = np.bincount(
-                self.edge_array.ravel(), minlength=self.n
+            weights = None if self.mult is None else np.repeat(self.mult, 2)
+            deg = np.bincount(
+                self.edge_array.ravel(), weights=weights, minlength=self.n
             ).astype(np.int64)
+            if self.loops is not None:
+                deg += 2 * self.loops
+            self._degrees = deg
         return self._degrees
 
-    def _build_csr(self) -> None:
-        e = self.edge_array
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
-        order = np.lexsort((dst, src))
-        self._adjv = dst[order]
-        counts = np.bincount(src, minlength=self.n)
-        self._xadj = np.concatenate([[0], np.cumsum(counts)])
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(xadj, neighbor ids, multiplicities or None), built once."""
+        if self._xadj is None:
+            e = self.edge_array
+            src = np.concatenate([e[:, 0], e[:, 1]])
+            dst = np.concatenate([e[:, 1], e[:, 0]])
+            order = np.lexsort((dst, src))
+            self._adjv = dst[order]
+            if self.mult is not None:
+                self._adjm = np.concatenate([self.mult, self.mult])[order]
+            counts = np.bincount(src, minlength=self.n)
+            self._xadj = np.concatenate([[0], np.cumsum(counts)])
+        return self._xadj, self._adjv, self._adjm
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of v (a view into the CSR arrays)."""
-        if self._xadj is None:
-            self._build_csr()
-        return self._adjv[self._xadj[v] : self._xadj[v + 1]]
+        """Sorted distinct neighbor ids of v (a view into the CSR arrays)."""
+        xadj, adjv, _ = self._csr()
+        return adjv[xadj[v] : xadj[v + 1]]
 
     def adjacency(self) -> list[list[int]]:
-        return [self.neighbors(v).tolist() for v in range(self.n)]
+        """neighbors(v) of every vertex, as Python lists."""
+        xadj, adjv, _ = self._csr()
+        return _split_rows(xadj, adjv)
+
+    def adjacency_mult(self) -> list[list[int]]:
+        """Edge multiplicities aligned with adjacency(): entry [v][i] is the
+        number of edges between v and adjacency()[v][i]."""
+        xadj, adjv, adjm = self._csr()
+        return _split_rows(xadj, np.ones_like(adjv) if adjm is None else adjm)
 
     def edge_tuples(self) -> list[tuple[int, int]]:
         return [(int(u), int(v)) for u, v in self.edge_array]
@@ -94,6 +159,7 @@ class Graph:
 
         keep is a boolean mask over the current vertex ids; old_ids[i] is the
         original id of new vertex i (ascending, so relabeling is canonical).
+        Multiplicities and loops of the kept part carry over.
         """
         keep = np.asarray(keep, dtype=bool)
         old_ids = np.flatnonzero(keep)
@@ -102,75 +168,42 @@ class Graph:
         e = self.edge_array
         sel = keep[e[:, 0]] & keep[e[:, 1]]
         sub = new_id[e[sel]]
-        return Graph(len(old_ids), sub, _canonical=True), old_ids
+        return Graph(
+            len(old_ids),
+            sub,
+            _canonical=True,
+            mult=None if self.mult is None else self.mult[sel],
+            loops=None if self.loops is None else self.loops[old_ids],
+        ), old_ids
 
-    def __eq__(self, other) -> bool:
+    def _key(self) -> tuple:
         return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edge_array.shape == other.edge_array.shape
-            and bool(np.all(self.edge_array == other.edge_array))
+            self.n,
+            self.edge_array.tobytes(),
+            None if self.mult is None else self.mult.tobytes(),
+            None if self.loops is None else self.loops.tobytes(),
         )
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Graph) and self._key() == other._key()
+
     def __hash__(self):  # pragma: no cover - graphs are not dict keys in hot paths
-        return hash((self.n, self.edge_array.tobytes()))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class Multigraph:
-    """Undirected multigraph: neighbor->multiplicity maps plus loop counts.
-
-    A loop contributes 2 to its vertex's degree and never makes a vertex
-    its own neighbor.
-    """
-
-    __slots__ = ("n", "adj", "loops")
-
-    def __init__(self, n: int, adj: list[dict[int, int]], loops: list[int]):
-        self.n = n
-        self.adj = adj
-        self.loops = loops
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "Multigraph":
-        adj: list[dict[int, int]] = [dict() for _ in range(g.n)]
-        for u, v in g.edge_array:
-            adj[u][int(v)] = 1
-            adj[v][int(u)] = 1
-        return cls(g.n, adj, [0] * g.n)
-
-    def degree(self, v: int) -> int:
-        return sum(self.adj[v].values()) + 2 * self.loops[v]
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.array([self.degree(v) for v in range(self.n)], dtype=np.int64)
-
-    def edge_instances(self) -> list[tuple[int, int]]:
-        """Non-loop edges with multiplicity, canonical (u < v) and sorted."""
-        out: list[tuple[int, int]] = []
-        for u in range(self.n):
-            for v, mult in sorted(self.adj[u].items()):
-                if u < v:
-                    out.extend([(u, v)] * mult)
-        return out
-
-    def loop_count(self) -> int:
-        return sum(self.loops)
-
-    def is_simple(self) -> bool:
-        return self.loop_count() == 0 and all(
-            m == 1 for a in self.adj for m in a.values()
-        )
-
-    def __repr__(self) -> str:
-        m = sum(sum(a.values()) for a in self.adj) // 2 + self.loop_count()
-        return f"Multigraph(n={self.n}, m={m})"
+def _split_rows(xadj: np.ndarray, flat: np.ndarray) -> list[list[int]]:
+    """The CSR rows flat[xadj[v]:xadj[v+1]] as Python lists."""
+    bounds = xadj.tolist()
+    values = flat.tolist()
+    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def format_edge_text(g: Graph) -> str:
+    if not g.is_simple():
+        raise DomainError("the edge-list format holds simple graphs only")
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edge_array)
     return "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ from .analytics import (
     x_of_c,
 )
 from .errors import DomainError
-from .graphs import Graph, Multigraph, parse_edge_text
+from .graphs import Graph, parse_edge_text
 from .kcore import audit_lw0, k_core
 from .kfactor import audit_properties, find_k_factor
 from .randgraph import gen_gnp, sample_configuration, to_multigraph
@@ -135,11 +135,9 @@ class ScanConfig:
         return [float(c) for c in np.linspace(self.c_from, self.c_to, self.steps)]
 
 
-def _strip_loops(mg: Multigraph) -> Multigraph:
+def _strip_loops(g: Graph) -> Graph:
     """Loops cannot carry factor degree; drop them before the search."""
-    if mg.loop_count() == 0:
-        return mg
-    return Multigraph(mg.n, [dict(a) for a in mg.adj], [0] * mg.n)
+    return Graph(g.n, g.edge_array, _canonical=True, mult=g.mult)
 
 
 def _pipeline(n, c, k, seed, mode, beta_override, cap_multiplier):
@@ -189,16 +187,13 @@ def _pipeline(n, c, k, seed, mode, beta_override, cap_multiplier):
             iterations = res.iterations
             k_size = res.K.n
             stage = "verify"
-            rep = verify_K(res.K, k, ambient_n=n, degrees=res.k_degrees)
+            rep = verify_K(res.K, k, ambient_n=n)
             # the theorem's route needs the degree window and the parity
             # to hold before a factor is even plausible; outside it the
             # run already counts as a miss
             if k_size > 0 and rep.k1 and rep.k4:
                 stage = "factor"
-                fh = res.k_multigraph if mode == "multigraph" else res.K
-                if isinstance(fh, Multigraph):
-                    fh = _strip_loops(fh)
-                cert = find_k_factor(fh, k)
+                cert = find_k_factor(_strip_loops(res.K), k)
                 factor_found = cert is not None
     except Exception as exc:  # noqa: BLE001 - scans must never panic
         error = f"{stage}:{type(exc).__name__}:{exc}".replace(",", ";")
@@ -242,8 +237,8 @@ def run_pipeline(
     """One generation-to-factor run; deterministic per seed.
 
     Stage failures land in the record's error field instead of raising.
-    The factor search runs on the remainder (its multigraph form in
-    multigraph mode) only when its degrees sit in [k, 2k] and k|K| is
+    The factor search runs on the remainder (loops dropped, parallel edges
+    kept in multigraph mode) only when its degrees sit in [k, 2k] and k|K| is
     even, so factor_found = True implies those checks passed.
     """
     record, _ = _pipeline(n, c, k, seed, mode, beta_override, cap_multiplier)

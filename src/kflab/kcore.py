@@ -72,6 +72,8 @@ def k_core(g: Graph, k: int) -> CoreResult:
     """Peel to the maximal induced subgraph with minimum degree >= k."""
     if k < 1:
         raise DomainError(f"k_core needs k >= 1, got {k}")
+    if not g.is_simple():
+        raise DomainError("k_core peels simple graphs only")
     deg = g.degrees.copy()
     alive = np.ones(g.n, dtype=bool)
     adj = g.adjacency()

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, KflabError
-from .graphs import Graph, Multigraph
+from .graphs import Graph
 from .matching import matched_pairs, maximum_matching, perfect_matching_exists
 from .rng import make_rng, spawn_seed
 
@@ -115,8 +115,8 @@ def _check_sets(g: Graph, S, T) -> tuple[set[int], set[int]]:
 
 
 def _require_simple(g) -> Graph:
-    if not isinstance(g, Graph):
-        raise DomainError(f"expected a simple Graph, got {type(g).__name__}")
+    if not isinstance(g, Graph) or not g.is_simple():
+        raise DomainError("expected a simple Graph, without parallel edges or loops")
     return g
 
 
@@ -312,18 +312,14 @@ class GadgetReduction:
 
 
 def _host_instances(g, allow_loops=False) -> tuple[int, list[tuple[int, int]], list[int]]:
-    if isinstance(g, Graph):
-        inst = [(int(u), int(v)) for u, v in g.edge_tuples()]
-        deg = [int(d) for d in g.degrees]
-        return g.n, inst, deg
-    if isinstance(g, Multigraph):
-        if g.loop_count() and not allow_loops:
-            raise DomainError("loops cannot participate in a k-factor; "
-                              "strip or reject them first")
-        inst = [(int(u), int(v)) for u, v in g.edge_instances()]
-        deg = [int(d) for d in g.degrees]
-        return g.n, inst, deg
-    raise DomainError(f"expected Graph or Multigraph, got {type(g).__name__}")
+    """(n, non-loop edges repeated by multiplicity in canonical order, degrees)."""
+    if not isinstance(g, Graph):
+        raise DomainError(f"expected a Graph, got {type(g).__name__}")
+    if g.loops is not None and not allow_loops:
+        raise DomainError("loops cannot participate in a k-factor; "
+                          "strip or reject them first")
+    rows = g.edge_array if g.mult is None else np.repeat(g.edge_array, g.mult, axis=0)
+    return g.n, list(map(tuple, rows.tolist())), g.degrees.tolist()
 
 
 def gadget_reduce(g, k: int) -> GadgetReduction:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ExhaustionError, InfeasibleError, ParityError
-from .graphs import Graph, Multigraph
+from .graphs import Graph
 from .rng import make_rng
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
 
 # vertex classes used by the stripping machinery and the re-sampler
 W0, W1, R = 0, 1, 2
-CLASS_NAMES = {W0: "W0", W1: "W1", R: "R"}
 
 
 # ------------------------------------------------------------- configurations
@@ -200,38 +199,17 @@ def sample_configuration(degrees, seed: int) -> Configuration:
 
 def project_multigraph(cfg: Configuration) -> tuple[Graph, int, int]:
     """Collapse to a simple Graph plus (loop_count, multi_edge_count)."""
-    ids = np.arange(cfg.copy_count)
-    sel = ids < cfg.mate
-    a = cfg.owner[ids[sel]]
-    b = cfg.owner[cfg.mate[ids[sel]]]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    loop_count = int(np.sum(lo == hi))
-    nz = lo != hi
-    lo, hi = lo[nz], hi[nz]
-    if len(lo) == 0:
-        return Graph(cfg.n, np.empty((0, 2), dtype=np.int64), _canonical=True), loop_count, 0
-    key = lo * cfg.n + hi
-    uniq = np.unique(key)
-    multi_edge_count = int(len(key) - len(uniq))
-    edges = np.column_stack([uniq // cfg.n, uniq % cfg.n])
-    return Graph(cfg.n, edges, _canonical=True), loop_count, multi_edge_count
+    mg = to_multigraph(cfg)
+    loop_count = 0 if mg.loops is None else int(mg.loops.sum())
+    multi_edge_count = 0 if mg.mult is None else int(np.sum(mg.mult - 1))
+    return Graph(cfg.n, mg.edge_array, _canonical=True), loop_count, multi_edge_count
 
 
-def to_multigraph(cfg: Configuration) -> Multigraph:
-    """Full multiplicity-preserving projection."""
-    adj: list[dict[int, int]] = [dict() for _ in range(cfg.n)]
-    loops = [0] * cfg.n
-    ids = np.arange(cfg.copy_count)
-    sel = ids < cfg.mate
-    for i in ids[sel]:
-        u = int(cfg.owner[i])
-        v = int(cfg.owner[cfg.mate[i]])
-        if u == v:
-            loops[u] += 1
-        else:
-            adj[u][v] = adj[u].get(v, 0) + 1
-            adj[v][u] = adj[v].get(u, 0) + 1
-    return Multigraph(cfg.n, adj, loops)
+def to_multigraph(cfg: Configuration) -> Graph:
+    """Full multiplicity-preserving projection: one edge per pair of copies."""
+    ids = np.flatnonzero(np.arange(cfg.copy_count) < cfg.mate)
+    owners = np.column_stack([cfg.owner[ids], cfg.owner[cfg.mate[ids]]])
+    return Graph.from_pairs(cfg.n, owners)
 
 
 def sample_simple_with_degrees(

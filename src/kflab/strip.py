@@ -16,10 +16,17 @@ degree fell to <= k into W1, and re-evaluates D3-D5 on the affected
 neighborhood (D5 after all moves of the iteration).  The trace logs the
 weighted queue potential X = A + k B + k^7 beta D per iteration.
 
-Multigraph inputs: a loop adds 2 to its vertex's degree and never makes a
-vertex its own neighbor; parallel edges count with multiplicity in degrees
-and in the D2 threshold, while the W1-neighbor counts of D4/D5 are over
-distinct vertices.
+On a multigraph (a Graph with multiplicities and loops) a loop adds 2 to
+its vertex's degree and never makes a vertex its own neighbor; parallel
+edges count with multiplicity in degrees and in the D2 threshold, while the
+W1-neighbor counts of D4/D5 are over distinct vertices.  The remainder K
+keeps the multiplicities and loops of its part of the input.
+
+Debug runs assert the three queue-closure properties (a W1 vertex, and a
+queued R vertex, has no unqueued W1 neighbor; an unqueued R vertex has at
+most one W1 neighbor) after every deletion, recomputed from scratch on
+each live vertex whose closure the deletion could have broken.  They hold
+trivially after init, where W1 is empty.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .graphs import Graph, Multigraph
+from .graphs import Graph
 from .randgraph import R, W0, W1
 
 __all__ = [
@@ -98,8 +105,6 @@ class KReport:
 class StripResult:
     K: Graph
     kept: np.ndarray  # input-space ids of the vertices of K (ascending)
-    k_degrees: np.ndarray  # native-mode degrees of K's vertices
-    k_multigraph: Multigraph | None
     halted_reason: str  # Q_empty | cap_reached
     trace: StripTrace
     iterations: int
@@ -131,32 +136,23 @@ class StripState:
 
     def __init__(
         self,
-        core,
+        core: Graph,
         k: int,
         cap_multiplier: float = 1.0,
         beta_override: float | None = None,
         ambient_n: int | None = None,
         debug: bool = False,
-        debug_full_every: int | None = None,
     ):
         if k < 1:
             raise DomainError(f"strip needs k >= 1, got {k}")
-        if isinstance(core, Multigraph):
-            self.multigraph = True
-            n = core.n
-            self.adj = [list(core.adj[v].keys()) for v in range(n)]
-            self.amult = [list(core.adj[v].values()) for v in range(n)]
-            self.loops = np.asarray(core.loops, dtype=np.int64)
-            deg = core.degrees.copy()
-        elif isinstance(core, Graph):
-            self.multigraph = False
-            n = core.n
-            self.adj = core.adjacency()
-            self.amult = None
-            self.loops = np.zeros(n, dtype=np.int64)
-            deg = core.degrees.copy()
-        else:
-            raise DomainError(f"core must be a Graph or Multigraph, got {type(core)!r}")
+        if not isinstance(core, Graph):
+            raise DomainError(f"core must be a Graph, got {type(core)!r}")
+        n = core.n
+        self.core = core
+        self.adj = core.adjacency()
+        self.amult = core.adjacency_mult()
+        self.loops = np.zeros(n, dtype=np.int64) if core.loops is None else core.loops
+        deg = core.degrees.copy()
         if n and int(deg.min()) < k:
             raise DomainError(
                 f"strip requires minimum degree >= k={k}, found {int(deg.min())}"
@@ -192,14 +188,6 @@ class StripState:
         self.trace_rows: list[TraceRow] = []
 
         self.debug = debug
-        if debug:
-            self.d_w1 = np.zeros(n, dtype=np.int64)
-            self.d_w1nq = np.zeros(n, dtype=np.int64)
-            self.viol = np.zeros((n, 3), dtype=bool)
-            self.va = self.vb = self.vc = 0
-            if debug_full_every is None:
-                debug_full_every = 1 if n <= 2000 else 200
-            self.debug_full_every = max(1, debug_full_every)
 
         # D1 and D2 over the initial core; W1 is empty so no other rule fires
         d1 = deg > 2 * k
@@ -212,31 +200,16 @@ class StripState:
     # ------------------------------------------------------------- internals
 
     def _initial_deg_w0(self) -> np.ndarray:
-        out = np.zeros(self.n, dtype=np.int64)
+        """Edge ends from each vertex into W0, a loop inside W0 counting 2."""
         w0 = self.class_of == W0
-        if self.multigraph:
-            for v in range(self.n):
-                for u, m in zip(self.adj[v], self.amult[v]):
-                    if w0[u]:
-                        out[v] += m
-                if w0[v]:
-                    out[v] += 2 * self.loops[v]
-        else:
-            for v in range(self.n):
-                for u in self.adj[v]:
-                    if w0[u]:
-                        out[v] += 1
-        return out
+        mult = 1 if self.core.mult is None else self.core.mult
+        return _neighbors_in(self.core, w0, mult) + 2 * self.loops * w0
 
     def _live_neighbors(self, v: int):
         """(neighbor, multiplicity) over live distinct neighbors of v."""
-        if self.multigraph:
-            return [
-                (u, m)
-                for u, m in zip(self.adj[v], self.amult[v])
-                if self.alive[u]
-            ]
-        return [(u, 1) for u in self.adj[v] if self.alive[u]]
+        return [
+            (u, m) for u, m in zip(self.adj[v], self.amult[v]) if self.alive[u]
+        ]
 
     def _enqueue(self, v: int) -> None:
         self.deletable[v] = True
@@ -250,12 +223,6 @@ class StripState:
         if self.class_of[v] == R:
             for u, _ in self._live_neighbors(v):
                 self.rqn[u] += 1
-        if self.debug:
-            if self.class_of[v] == W1:
-                for u, _ in self._live_neighbors(v):
-                    self.d_w1nq[u] -= 1
-                    self._dbg_refresh(u)
-            self._dbg_refresh(v)
 
     def _move_to_w1(self, u: int) -> None:
         self.class_of[u] = W1
@@ -266,27 +233,6 @@ class StripState:
             self.w1n[z] += 1
             if queued:
                 self.rqn[z] -= 1
-        if self.debug:
-            for z, _ in self._live_neighbors(u):
-                self.d_w1[z] += 1
-                if not queued:
-                    self.d_w1nq[z] += 1
-                self._dbg_refresh(z)
-            self._dbg_refresh(u)
-
-    def _dbg_refresh(self, v: int) -> None:
-        a = bool(self.alive[v])
-        cls = self.class_of[v]
-        new = (
-            a and cls == W1 and self.d_w1nq[v] > 0,
-            a and cls == R and self.in_q[v] and self.d_w1nq[v] > 0,
-            a and cls == R and not self.in_q[v] and self.d_w1[v] > 1,
-        )
-        old = self.viol[v]
-        self.va += int(new[0]) - int(old[0])
-        self.vb += int(new[1]) - int(old[1])
-        self.vc += int(new[2]) - int(old[2])
-        self.viol[v] = new
 
     def _log_row(self, deleted: int, enqueued: int) -> None:
         # queued vertices leave the heap only when deleted, so the heap
@@ -342,12 +288,9 @@ def strip_step(state: StripState) -> TraceRow:
     mutated or logged) if the queue is empty.
     """
     s = state
-    if s.debug:
-        assert s.va == 0, "a W1 vertex has an unqueued W1 neighbor"
-        assert s.vb == 0, "a queued R vertex has an unqueued W1 neighbor"
-        assert s.vc == 0, "an unqueued R vertex has two W1 neighbors"
-        if s.iteration % s.debug_full_every == 0:
-            check_state_invariants(s)
+    # the full recomputation is O(n + m), so large debug runs stride it
+    if s.debug and s.iteration % (1 if s.n <= 2000 else 200) == 0:
+        check_state_invariants(s)
     if not s.heap:
         return TraceRow(
             s.iteration, -1, 0, s.n_w0, s.n_w1, s.n_r, s.A, s.B, s.D,
@@ -389,12 +332,6 @@ def strip_step(state: StripState) -> TraceRow:
     elif v_cls == R:  # v was queued, so neighbors lose an R-in-queue neighbor
         for u, _ in neighbors:
             s.rqn[u] -= 1
-    if s.debug:
-        if v_cls == W1:
-            for u, _ in neighbors:
-                s.d_w1[u] -= 1
-                s._dbg_refresh(u)
-        s._dbg_refresh(v)
 
     # 2b: R neighbors whose degree fell to at most k move to W1
     movers = [u for u, _ in neighbors if s.class_of[u] == R and s.deg[u] <= s.k]
@@ -440,6 +377,12 @@ def strip_step(state: StripState) -> TraceRow:
         assert enqueued <= 4 * s.k * s.k, (
             f"iteration {s.iteration}: {enqueued} enqueues exceed 4k^2"
         )
+        # deleting v, moving movers to W1 and enqueueing can break closure
+        # only at these vertices; enqueueing never breaks it at a neighbor
+        touched = [u for u, _ in neighbors] + flagged + cascade
+        for u in movers:
+            touched.extend(z for z, _ in s._live_neighbors(u))
+        _check_closure(s, set(touched))
     s._log_row(deleted=v, enqueued=enqueued)
     return s.trace_rows[-1]
 
@@ -454,49 +397,10 @@ def _finalize(state: StripState, halted_reason: str) -> StripResult:
     s = state
     if s.debug:
         check_state_invariants(s)
-    keep = s.alive.copy()
-    kept = np.flatnonzero(keep)
-    k_degrees = s.deg[kept].copy()
-    if s.multigraph:
-        new_id = np.full(s.n, -1, dtype=np.int64)
-        new_id[kept] = np.arange(len(kept))
-        adj: list[dict[int, int]] = [dict() for _ in range(len(kept))]
-        loops = [0] * len(kept)
-        for old in kept.tolist():
-            i = int(new_id[old])
-            loops[i] = int(s.loops[old])
-            for u, m in zip(s.adj[old], s.amult[old]):
-                if keep[u]:
-                    adj[i][int(new_id[u])] = m
-        mg = Multigraph(len(kept), adj, loops)
-        edges = sorted(set(mg.edge_instances()))
-        K = Graph(
-            len(kept),
-            np.array(edges, dtype=np.int64).reshape(-1, 2),
-            _canonical=True,
-        )
-    else:
-        mg = None
-        # rebuild from the original adjacency restricted to live vertices
-        pairs = [
-            (v, u)
-            for v in kept.tolist()
-            for u in s.adj[v]
-            if v < u and keep[u]
-        ]
-        new_id = np.full(s.n, -1, dtype=np.int64)
-        new_id[kept] = np.arange(len(kept))
-        arr = (
-            new_id[np.array(pairs, dtype=np.int64)]
-            if pairs
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        K = Graph(len(kept), arr)
+    K, kept = s.core.induced_subgraph(s.alive)
     return StripResult(
         K=K,
         kept=kept,
-        k_degrees=k_degrees,
-        k_multigraph=mg,
         halted_reason=halted_reason,
         trace=StripTrace(rows=tuple(s.trace_rows)),
         iterations=s.iteration,
@@ -536,28 +440,30 @@ def run_strip(
         strip_step(state)
 
 
-def verify_K(K: Graph, k: int, ambient_n: int | None = None, degrees=None) -> KReport:
+def _neighbors_in(g: Graph, mask: np.ndarray, weights=1) -> np.ndarray:
+    """Per-vertex count of neighbors inside mask, each weighted by its edge
+    row's weight: 1 counts distinct neighbors, g.mult counts edges."""
+    e = g.edge_array
+    out = np.bincount(e[:, 0], weights=weights * mask[e[:, 1]], minlength=g.n)
+    out += np.bincount(e[:, 1], weights=weights * mask[e[:, 0]], minlength=g.n)
+    return out.astype(np.int64)
+
+
+def verify_K(K: Graph, k: int, ambient_n: int | None = None) -> KReport:
     """Check the target properties of a stripped remainder.
 
     K1: every degree in [k, 2k].  K2: every vertex of degree >= k+1 has at
-    most floor(9k/10) neighbors of degree exactly k.  K3: |K| >= n/3 when
-    the ambient n is supplied (None otherwise).  K4: k|K| even.  degrees
-    overrides K.degrees for multigraph remainders (loops count twice).
+    most floor(9k/10) distinct neighbors of degree exactly k.  K3: |K| >=
+    n/3 when the ambient n is supplied (None otherwise).  K4: k|K| even.
+    Degrees count multiplicity, and loops twice.
     """
-    deg = np.asarray(degrees, dtype=np.int64) if degrees is not None else K.degrees
-    if len(deg) != K.n:
-        raise DomainError("degrees must cover every vertex of K")
+    deg = K.degrees
     if K.n == 0:
         k1 = True
         k2 = True
     else:
         k1 = bool(np.all((deg >= k) & (deg <= 2 * k)))
-        low = deg == k
-        low_nbrs = np.zeros(K.n, dtype=np.int64)
-        if K.m:
-            e = K.edge_array
-            np.add.at(low_nbrs, e[:, 0], low[e[:, 1]])
-            np.add.at(low_nbrs, e[:, 1], low[e[:, 0]])
+        low_nbrs = _neighbors_in(K, deg == k)
         high = deg >= k + 1
         k2 = bool(np.all(low_nbrs[high] <= (9 * k) // 10))
     k3 = None if ambient_n is None else bool(K.n >= ambient_n / 3)
@@ -573,47 +479,21 @@ def enforce_parity(result: StripResult, k: int) -> StripResult:
     """
     if (k * result.K.n) % 2 == 0:
         return replace(result, k4_action="none", k4_vertex=None)
-    deg = result.k_degrees
-    mg = result.k_multigraph
-    for v in range(result.K.n):
-        if deg[v] <= k:
-            continue
-        nbrs = (
-            list(mg.adj[v].keys()) if mg is not None else result.K.neighbors(v).tolist()
-        )
-        if all(deg[u] > k for u in nbrs):
-            keep = np.ones(result.K.n, dtype=bool)
-            keep[v] = False
-            new_K, _ = result.K.induced_subgraph(keep)
-            if mg is not None:
-                adj = []
-                loops = []
-                new_id = np.full(result.K.n, -1, dtype=np.int64)
-                new_id[np.flatnonzero(keep)] = np.arange(result.K.n - 1)
-                for old in np.flatnonzero(keep).tolist():
-                    adj.append(
-                        {
-                            int(new_id[u]): m
-                            for u, m in mg.adj[old].items()
-                            if keep[u]
-                        }
-                    )
-                    loops.append(mg.loops[old])
-                new_mg = Multigraph(result.K.n - 1, adj, loops)
-                new_deg = new_mg.degrees
-            else:
-                new_mg = None
-                new_deg = new_K.degrees
-            return replace(
-                result,
-                K=new_K,
-                kept=result.kept[keep],
-                k_degrees=new_deg,
-                k_multigraph=new_mg,
-                k4_action="deleted",
-                k4_vertex=int(result.kept[v]),
-            )
-    return replace(result, k4_action="failed", k4_vertex=None)
+    deg = result.K.degrees
+    eligible = np.flatnonzero((deg > k) & (_neighbors_in(result.K, deg <= k) == 0))
+    if len(eligible) == 0:
+        return replace(result, k4_action="failed", k4_vertex=None)
+    v = int(eligible[0])
+    keep = np.ones(result.K.n, dtype=bool)
+    keep[v] = False
+    new_K, _ = result.K.induced_subgraph(keep)
+    return replace(
+        result,
+        K=new_K,
+        kept=result.kept[keep],
+        k4_action="deleted",
+        k4_vertex=int(result.kept[v]),
+    )
 
 
 def check_state_invariants(state: StripState) -> None:
@@ -624,7 +504,6 @@ def check_state_invariants(state: StripState) -> None:
     deg_w0 = np.zeros(s.n, dtype=np.int64)
     w1n = np.zeros(s.n, dtype=np.int64)
     rqn = np.zeros(s.n, dtype=np.int64)
-    w1_not_q = np.zeros(s.n, dtype=np.int64)
     for v in range(s.n):
         if not s.alive[v]:
             continue
@@ -637,8 +516,6 @@ def check_state_invariants(state: StripState) -> None:
                 deg_w0[v] += m
             if s.class_of[u] == W1:
                 w1n[v] += 1
-                if not s.in_q[u]:
-                    w1_not_q[v] += 1
             if s.class_of[u] == R and s.in_q[u]:
                 rqn[v] += 1
     live = s.alive
@@ -661,11 +538,21 @@ def check_state_invariants(state: StripState) -> None:
         f"potential drifted: scratch {(A, B, D)} vs tracked {(s.A, s.B, s.D)}"
     )
 
-    # the three queue-closure properties at an iteration boundary
-    for v in np.flatnonzero(live).tolist():
-        if cls[v] == W1:
-            assert w1_not_q[v] == 0, f"W1 vertex {v} keeps an unqueued W1 neighbor"
-        elif cls[v] == R and s.in_q[v]:
-            assert w1_not_q[v] == 0, f"queued R vertex {v} keeps an unqueued W1 neighbor"
-        elif cls[v] == R:
-            assert w1n[v] <= 1, f"unqueued R vertex {v} has two W1 neighbors"
+    _check_closure(s, np.flatnonzero(live).tolist())
+
+
+def _check_closure(state: StripState, vertices) -> None:
+    """Assert the three queue-closure properties at each live vertex given,
+    from its current neighborhood."""
+    s = state
+    for v in vertices:
+        if not s.alive[v] or s.class_of[v] == W0:
+            continue
+        w1 = [u for u, _ in s._live_neighbors(v) if s.class_of[u] == W1]
+        unqueued = sum(1 for u in w1 if not s.in_q[u])
+        if s.class_of[v] == W1:
+            assert unqueued == 0, f"W1 vertex {v} keeps an unqueued W1 neighbor"
+        elif s.in_q[v]:
+            assert unqueued == 0, f"queued R vertex {v} keeps an unqueued W1 neighbor"
+        else:
+            assert len(w1) <= 1, f"unqueued R vertex {v} has two W1 neighbors"

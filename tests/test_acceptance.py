@@ -231,7 +231,7 @@ def test_ac06_strip_structural_guarantees():
                 violations += 1
         if res.halted_reason == "Q_empty":
             q_empty_halts += 1
-            rep = verify_K(res.K, k, degrees=res.k_degrees)
+            rep = verify_K(res.K, k)
             if not (rep.k1 and rep.k2):
                 violations += 1
 

@@ -140,6 +140,50 @@ def test_golden_scan_rows():
     assert [line.rsplit(",", 1)[0] for line in got] == GOLDEN_ROWS
 
 
+GOLDEN_MULTIGRAPH_SCANS = [
+    (
+        ScanConfig(k=2, n=60, c_from=0.8, c_to=2.0, steps=4, trials=3,
+                   base_seed=21, mode="multigraph", beta_override=1.0),
+        [
+            "0.8,0,17076149498773675891,0,empty_core,0,1,1,0,1,0,0,",
+            "0.8,1,14855821441859969410,0,empty_core,0,1,1,0,1,0,0,",
+            "0.8,2,10119332261046213656,0,empty_core,0,1,1,0,1,0,0,",
+            # the remainder keeps its parallel edges and has a 2-factor
+            "1.2,0,12913448566099626428,3,Q_empty,3,1,1,0,1,1,0,",
+            "1.2,1,13617027659225686266,0,empty_core,0,1,1,0,1,0,0,",
+            "1.2,2,13130584078869959765,0,empty_core,0,1,1,0,1,0,0,",
+            "1.6,0,71939142248993456,13,Q_empty,0,1,1,0,1,0,13,",
+            "1.6,1,17315053065253184469,13,Q_empty,0,1,1,0,1,0,13,",
+            "1.6,2,5878462509955338135,14,Q_empty,0,1,1,0,1,0,14,",
+            # a lone vertex whose degree 2 is one loop: the loop is dropped
+            # before the factor search, which then finds no 2-factor
+            "2,0,17587681014715595140,25,Q_empty,1,1,1,0,1,0,24,",
+            "2,1,5344029031281629611,30,Q_empty,0,1,1,0,1,0,30,",
+            "2,2,14875307670190041236,32,Q_empty,0,1,1,0,1,0,32,",
+        ],
+    ),
+    (
+        ScanConfig(k=3, n=400, c_from=3.5, c_to=8.0, steps=3, trials=2,
+                   base_seed=11, mode="multigraph"),
+        [
+            "3.5,0,4559771461524105010,0,empty_core,0,1,1,0,1,0,0,",
+            "3.5,1,5842060236858903905,162,cap_reached,122,0,0,0,1,0,40,",
+            "5.75,0,12461657955819696239,371,cap_reached,330,0,0,1,1,0,40,",
+            "5.75,1,16845206782305640661,378,cap_reached,338,0,0,1,1,0,40,",
+            "8,0,4017943756366084190,395,cap_reached,354,0,1,1,1,0,40,",
+            "8,1,6634065614634738295,396,cap_reached,356,0,0,1,1,0,40,",
+        ],
+    ),
+]
+
+
+def test_golden_multigraph_scan_rows():
+    for cfg, rows in GOLDEN_MULTIGRAPH_SCANS:
+        records, _ = scan(cfg)
+        got = records_to_csv(records).splitlines()
+        assert [line.rsplit(",", 1)[0] for line in got] == [GOLDEN_ROWS[0]] + rows
+
+
 def test_scan_thread_invariance():
     seq, _ = scan(GOLDEN_SCAN, threads=1)
     par, _ = scan(GOLDEN_SCAN, threads=4)

@@ -71,6 +71,12 @@ def test_rejects_nonpositive_k():
         k_core(HOUSE, 0)
 
 
+def test_rejects_multigraph():
+    # peeling decrements one degree per distinct neighbor
+    with pytest.raises(DomainError):
+        k_core(Graph.from_pairs(3, [(0, 1), (0, 1), (1, 2)]), 1)
+
+
 def test_core_is_maximal_fixed_point():
     for seed in range(5):
         g = gen_gnp(400, 6.0, spawn_seed(88, "fix", seed))

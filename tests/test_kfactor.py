@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kflab.errors import DomainError, InfeasibleError
-from kflab.graphs import Graph, Multigraph
+from kflab.graphs import Graph
 from kflab.kfactor import (
     BRUTE_FORCE_CAP,
     FactorCertificate,
@@ -131,7 +131,7 @@ def test_check_requires_min_degree():
 
 
 def test_check_rejects_multigraph():
-    mg = Multigraph(2, [{1: 2}, {0: 2}], [0, 0])
+    mg = Graph.from_pairs(2, [(0, 1), (0, 1)])
     with pytest.raises(DomainError):
         tutte_check(mg, 2, set(), set())
 
@@ -209,7 +209,7 @@ def test_gadget_errors():
     with pytest.raises(InfeasibleError):
         gadget_reduce(Graph(3, [(0, 1), (1, 2), (2, 0)]), 3)
     with pytest.raises(DomainError):
-        gadget_reduce(Multigraph(1, [{}], [1]), 1)
+        gadget_reduce(Graph.from_pairs(1, [(0, 0)]), 1)
     with pytest.raises(DomainError):
         gadget_reduce(C4, 0)
 
@@ -303,7 +303,7 @@ def test_factor_k4_both_ks():
 
 
 def test_factor_multigraph_parallel_edges():
-    mg = Multigraph(2, [{1: 2}, {0: 2}], [0, 0])
+    mg = Graph.from_pairs(2, [(0, 1), (0, 1)])
     cert = find_k_factor(mg, 2)
     assert cert.edges == ((0, 1), (0, 1))
     assert cert.degrees == (2, 2)
@@ -312,7 +312,7 @@ def test_factor_multigraph_parallel_edges():
 
 def test_factor_rejects_loops():
     with pytest.raises(DomainError):
-        find_k_factor(Multigraph(1, [{}], [1]), 2)
+        find_k_factor(Graph.from_pairs(1, [(0, 0)]), 2)
 
 
 def test_factor_k_guard():
@@ -340,11 +340,11 @@ def test_verify_accepts_and_rejects():
 
 
 def test_verify_multigraph_multiplicity():
-    mg = Multigraph(2, [{1: 2}, {0: 2}], [0, 0])
+    mg = Graph.from_pairs(2, [(0, 1), (0, 1)])
     assert verify_k_factor(mg, [(0, 1), (0, 1)], 2)
     assert not verify_k_factor(mg, [(0, 1), (0, 1), (0, 1)], 3)
     # loops in the host are ignorable, not disqualifying
-    loopy = Multigraph(2, [{1: 1}, {0: 1}], [1, 0])
+    loopy = Graph.from_pairs(2, [(0, 1), (0, 0)])
     assert verify_k_factor(loopy, [(0, 1)], 1)
     assert not verify_k_factor(loopy, [(0, 0)], 1)
 
@@ -477,7 +477,7 @@ def test_audit_guards():
     with pytest.raises(DomainError):
         audit_properties(C4, 2, gamma=1.5)
     with pytest.raises(DomainError):
-        audit_properties(Multigraph(1, [{}], [0]), 1)
+        audit_properties(Graph.from_pairs(2, [(0, 1), (0, 1)]), 1)
 
 
 def test_audit_report_json_shape():

@@ -217,6 +217,34 @@ def test_projection_degree_conservation():
         assert mg.is_simple() == (loops == 0 and multis == 0)
 
 
+def test_multigraph_from_pairs():
+    mg = Graph.from_pairs(4, [(1, 0), (0, 1), (2, 2), (3, 1), (2, 2)])
+    assert mg.edge_array.tolist() == [[0, 1], [1, 3]]
+    assert mg.mult.tolist() == [2, 1]
+    assert mg.loops.tolist() == [0, 0, 2, 0]
+    assert mg.degrees.tolist() == [2, 3, 4, 1]
+    assert mg.adjacency() == [[1], [0, 3], [], [1]]
+    assert mg.adjacency_mult() == [[2], [2, 1], [], [1]]
+    assert not mg.is_simple()
+    with pytest.raises(DomainError):
+        format_edge_text(mg)  # the text format has no multiplicities
+    sub, old_ids = mg.induced_subgraph(np.array([True, True, True, False]))
+    assert old_ids.tolist() == [0, 1, 2]
+    assert sub == Graph.from_pairs(3, [(0, 1), (0, 1), (2, 2), (2, 2)])
+    assert sub != Graph(3, [(0, 1)])
+    # without repeats or loops a multiset is the simple graph
+    assert Graph.from_pairs(3, [(2, 1), (0, 1)]) == Graph(3, [(1, 2), (0, 1)])
+    assert Graph.from_pairs(3, [(2, 1)]).is_simple()
+    with pytest.raises(DomainError):
+        Graph.from_pairs(2, [(0, 2)])
+    with pytest.raises(DomainError):
+        Graph.from_pairs(2, [(0, 1, 1)])
+    with pytest.raises(DomainError):
+        Graph(2, [(0, 1), (1, 0)])
+    with pytest.raises(DomainError):
+        Graph(2, [(1, 1)])
+
+
 def test_simple_fraction_matches_enumeration():
     # all 11!! = 10395 pairings of 12 copies, exactly 1296 project simple
     degrees = [3, 3, 3, 3]

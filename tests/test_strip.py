@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from kflab.analytics import c_k_threshold
 from kflab.errors import DomainError
-from kflab.graphs import Graph, Multigraph
+from kflab.graphs import Graph
 from kflab.kcore import k_core
 from kflab.randgraph import R, W0, W1, gen_gnp
 from kflab.rng import spawn_seed
@@ -155,7 +155,7 @@ def test_stepwise_invariants_simple_mode():
             ran += 1
             if state.q_empty:
                 res = run_strip(core, k, beta_override=1.0)
-                rep = verify_K(res.K, k, degrees=res.k_degrees)
+                rep = verify_K(res.K, k)
                 assert rep.k1 and rep.k2
     assert ran >= 60
 
@@ -171,7 +171,7 @@ def test_q_empty_implies_k1_k2_with_debug():
         res = run_strip(core, k, beta_override=1.0, debug=True)
         runs += 1
         if res.halted_reason == "Q_empty":
-            rep = verify_K(res.K, k, degrees=res.k_degrees)
+            rep = verify_K(res.K, k)
             if not (rep.k1 and rep.k2):
                 violations += 1
         for row in res.trace.rows:
@@ -180,6 +180,26 @@ def test_q_empty_implies_k1_k2_with_debug():
             assert row.x == row.a + k * row.b + k**7 * res.beta_eff * row.d
     assert runs >= 100
     assert violations == 0
+
+
+def test_debug_step_catches_broken_closure():
+    # above 2000 vertices the full recomputation runs only every 200th
+    # step, so the per-step closure check on the touched vertices is what
+    # must catch this
+    core = k_core(gen_gnp(3000, 5.0, 1), 3).core
+    assert core.n > 2000
+    state = strip_init(core, 3, beta_override=1.0, debug=True)
+    for _ in range(3):
+        strip_step(state)
+    # next to be deleted is v; make a neighbor y of v and a neighbor z of y
+    # unqueued W1 vertices, so y ends the step with an unqueued W1 neighbor
+    v = state.heap[0]
+    y = next(u for u, _ in state._live_neighbors(v) if not state.in_q[u])
+    z = next(u for u, _ in state._live_neighbors(y)
+             if u != v and not state.in_q[u])
+    state.class_of[[y, z]] = W1
+    with pytest.raises(AssertionError, match="unqueued W1 neighbor"):
+        strip_step(state)
 
 
 def test_deletable_flags_are_sticky():
@@ -235,8 +255,7 @@ def test_strip_output_subgraph_property(seed, k):
 
 def hand_multigraph():
     # 0 =2= 1, 0 - 2, 1 - 2, loop at 2: degrees 3, 3, 4
-    adj = [{1: 2, 2: 1}, {0: 2, 2: 1}, {0: 1, 1: 1}]
-    return Multigraph(3, adj, [0, 0, 1])
+    return Graph.from_pairs(3, [(0, 1), (1, 0), (0, 2), (1, 2), (2, 2)])
 
 
 def test_multigraph_hand_cascade():
@@ -258,7 +277,7 @@ def test_multigraph_hand_cascade():
 
 def test_multigraph_loop_counts_toward_own_w0_degree():
     # two vertices joined by a double edge plus a loop at each: degrees 4, 4
-    mg = Multigraph(2, [{1: 2}, {0: 2}], [1, 1])
+    mg = Graph.from_pairs(2, [(0, 1), (0, 1), (0, 0), (1, 1)])
     st_ = strip_init(mg, 4, beta_override=1.0)
     assert st_.class_of.tolist() == [W0, W0]
     assert st_.deg_w0.tolist() == [4, 4]  # 2 from the loop + 2 to the other
@@ -319,7 +338,7 @@ def test_enforce_parity_deletes_from_k5():
     assert out.k4_action == "deleted"
     assert out.k4_vertex == 0
     assert out.K.n == 4
-    assert out.k_degrees.tolist() == [3, 3, 3, 3]
+    assert out.K.degrees.tolist() == [3, 3, 3, 3]
     rep = verify_K(out.K, 3)
     assert rep.k1 and rep.k2 and rep.k4
 
@@ -332,9 +351,45 @@ def test_enforce_parity_failure_case():
     rep = verify_K(g, 3)
     assert rep.k1 and rep.k2 and not rep.k4
     res = run_strip(g, 3, beta_override=1.0, cap_multiplier=1e-9)
-    fake = dataclasses.replace(
-        res, K=g, kept=np.arange(5), k_degrees=g.degrees, k_multigraph=None
-    )
+    fake = dataclasses.replace(res, K=g, kept=np.arange(5))
     out = enforce_parity(fake, 3)
     assert out.k4_action == "failed"
     assert out.K.n == 5
+
+
+def test_enforce_parity_matches_vertex_scan():
+    # reference: the least-id vertex of degree > k whose neighbors all have
+    # degree > k, found by scanning vertices in order
+    from kflab.randgraph import sample_configuration, to_multigraph
+
+    outcomes = set()
+    for seed in range(60):
+        k = 2 + seed % 3
+        core = random_core(seed, k, lo=5, hi=30)
+        if seed % 2:
+            degs = np.random.default_rng(seed).integers(k, 2 * k + 3, size=9)
+            degs[0] += degs.sum() % 2
+            core = to_multigraph(sample_configuration(degs, seed))
+        if core.n == 0:
+            continue
+        res = run_strip(core, k, beta_override=1.0, cap_multiplier=1e-9)
+        deg = res.K.degrees
+        expect = next(
+            (v for v in range(res.K.n)
+             if deg[v] > k and all(deg[u] > k for u in res.K.neighbors(v))),
+            None,
+        )
+        out = enforce_parity(res, k)
+        if (k * res.K.n) % 2 == 0:
+            assert out.k4_action == "none"
+        elif expect is None:
+            assert out.k4_action == "failed"
+        else:
+            keep = np.ones(res.K.n, dtype=bool)
+            keep[expect] = False
+            assert out.k4_action == "deleted"
+            assert out.k4_vertex == int(res.kept[expect])
+            assert out.K == res.K.induced_subgraph(keep)[0]
+        outcomes.add(out.k4_action)
+    # the "failed" branch is pinned by test_enforce_parity_failure_case
+    assert {"none", "deleted"} <= outcomes
