@@ -149,11 +149,6 @@ class Graph:
     def edge_tuples(self) -> list[tuple[int, int]]:
         return [(int(u), int(v)) for u, v in self.edge_array]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return i < len(nb) and nb[i] == v
-
     def induced_subgraph(self, keep: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Subgraph on the kept vertices, compacted; returns (graph, old_ids).
 

@@ -141,25 +141,15 @@ class Lw0Report:
         )
 
 
-def audit_lw0(
-    result: CoreResult, k: int, multigraph_degrees=None
-) -> Lw0Report:
+def audit_lw0(result: CoreResult, k: int) -> Lw0Report:
     """Measure the eight pre-deletion structure quantities against their
     large-k reference bounds (fractions of the ambient vertex count).
 
-    W0 is the set of core vertices of degree exactly k, R the rest.  When
-    multigraph_degrees is given (configuration mode: loops count twice) the
-    classification and degree cutoffs use those degrees; edge counts are
-    always over the simple core graph.
+    W0 is the set of core vertices of degree exactly k, R the rest.
     """
     core = result.core
     n = float(result.ambient_n)
-    if multigraph_degrees is not None:
-        deg = np.asarray(multigraph_degrees, dtype=np.int64)
-        if len(deg) != core.n:
-            raise DomainError("multigraph_degrees must cover the core")
-    else:
-        deg = core.degrees
+    deg = core.degrees
     w0 = deg == k
 
     if core.n:

@@ -1,21 +1,21 @@
 """Maximum cardinality matching in general graphs.
 
 Edmonds blossom contraction in its array form: one alternating BFS tree
-per initially free vertex, blossoms contracted by rebasing their vertices
-onto the stem vertex closest to the root.  A single pass over the free
-vertices suffices for maximality, giving the usual O(V^3) worst case.
+per free vertex, grown until it reaches another free vertex (augment) or
+runs out.  Blossom bases form a union-find (Gabow, JACM 23, 1976): an odd
+cycle is contracted by linking the bases of the blossoms along it to the
+base closest to the root, and its inner vertices, in the order the search
+first reached them, join the queue as outer vertices.  A contraction thus
+costs the length of the cycle it walks, not the size of the tree.  A
+single pass over the free vertices suffices for maximality; the worst case
+stays O(V^3), since a walk still steps through the interior of nested
+blossoms.
 
-Two preprocessing steps cut most of the work on structured instances:
-
-* degree-1 forcing: a vertex with a single neighbor can always be matched
-  to it in some maximum matching, so the pair is committed and removed;
-  this cascades until no degree-1 vertex remains,
-* greedy seeding: a linear pass matching free neighbor pairs.
-
-Both preserve the maximum cardinality exactly (the standard exchange
-argument), so the blossom search only runs for the residual free vertices.
-All per-search bookkeeping resets lazily through stamps, so a search costs
-time proportional to the subgraph it explores, not to the whole graph.
+A seed matching is grown, never torn down.  Unseeded calls start from the
+empty matching: the search from a root with a free neighbor matches it to
+the first one, which is all a greedy pre-pass would do.  All per-search
+bookkeeping resets lazily through stamps, so a search costs time
+proportional to the subgraph it explores, not to the whole graph.
 """
 
 from collections import deque
@@ -32,85 +32,61 @@ def _build_adjacency(n: int, edges) -> list[list[int]]:
     for u, v in edges:
         u = int(u)
         v = int(v)
-        if u == v:
-            continue  # a loop can never be matched
         if not (0 <= u < n and 0 <= v < n):
             raise DomainError(f"edge ({u}, {v}) out of range for n = {n}")
+        if u == v:
+            continue  # a loop can never be matched
         adj[u].add(v)
         adj[v].add(u)
     return [sorted(s) for s in adj]
-
-
-def _force_degree_one(n, adj, mate, alive):
-    """Commit every forced pair (some maximum matching contains the unique
-    edge at a degree-1 vertex) and drop both endpoints; cascades."""
-    deg = [len(a) for a in adj]
-    queue = deque(v for v in range(n) if deg[v] == 1)
-    while queue:
-        v = queue.popleft()
-        if not alive[v] or deg[v] != 1:
-            continue
-        w = next(u for u in adj[v] if alive[u])
-        mate[v] = w
-        mate[w] = v
-        alive[v] = False
-        alive[w] = False
-        for u in adj[w]:
-            if alive[u]:
-                deg[u] -= 1
-                if deg[u] == 1:
-                    queue.append(u)
-        deg[v] = 0
-        deg[w] = 0
-
-
-def _greedy_seed(n, adj, mate, alive):
-    for v in range(n):
-        if alive[v] and mate[v] == -1:
-            for u in adj[v]:
-                if alive[u] and mate[u] == -1:
-                    mate[v] = u
-                    mate[u] = v
-                    break
 
 
 class _Blossom:
     """One-pass Edmonds search state over a fixed adjacency structure."""
 
     __slots__ = (
-        "adj", "mate", "alive", "stamp", "bstamp",
-        "used_at", "p_at", "p", "base_at", "base", "lca_at", "bloss_at",
-        "touch_at", "touched",
+        "adj", "mate", "stamp", "bstamp", "clock", "start",
+        "used_at", "p_at", "p", "base_at", "base", "lca_at",
     )
 
-    def __init__(self, adj, mate, alive):
+    def __init__(self, adj, mate):
         n = len(adj)
         self.adj = adj
         self.mate = mate
-        self.alive = alive
         self.stamp = 0
         self.bstamp = 0
+        # p_at holds the clock at each p assignment, so a valid entry is one
+        # made since the search started, and an inner vertex (given p once)
+        # carries the order in which the search reached it
+        self.clock = 0
+        self.start = 1
         self.used_at = [0] * n
         self.p_at = [0] * n
         self.p = [-1] * n
         self.base_at = [0] * n
         self.base = list(range(n))
         self.lca_at = [0] * n
-        self.bloss_at = [0] * n
-        self.touch_at = [0] * n
-        self.touched: list[int] = []
 
     # stamped accessors: state from older searches reads as pristine
     def _get_base(self, v):
-        return self.base[v] if self.base_at[v] == self.stamp else v
+        """Base of the outermost blossom holding v: its union-find root."""
+        base = self.base
+        base_at = self.base_at
+        stamp = self.stamp
+        root = v
+        while base_at[root] == stamp:
+            root = base[root]
+        while v != root:
+            base[v], v = root, base[v]
+        return root
 
     def _get_p(self, v):
-        return self.p[v] if self.p_at[v] == self.stamp else -1
+        return self.p[v] if self.p_at[v] >= self.start else -1
 
-    def _touch(self, v):
-        if self.touch_at[v] != self.stamp:
-            self.touch_at[v] = self.stamp
-            self.touched.append(v)
+    def _set_p(self, v, parent):
+        self.clock += 1
+        self.p[v] = parent
+        self.p_at[v] = self.clock
 
     def _lca(self, a, b):
         # walks use their own mark array: the a-side climb marks bases all
@@ -131,14 +107,16 @@ class _Blossom:
                 return b
             b = self._get_base(self._get_p(mate[b]))
 
-    def _mark_path(self, v, b, child, bstamp):
+    def _mark_path(self, v, b, child, bases, inner):
+        """Walk from v up to base b, pointing p back along the cycle;
+        collects the bases passed and the mates (inner side) of each step.
+        Bases are linked only after both walks, which stop on reaching b."""
         mate = self.mate
         while self._get_base(v) != b:
-            self.bloss_at[self._get_base(v)] = bstamp
-            self.bloss_at[self._get_base(mate[v])] = bstamp
-            self.p[v] = child
-            self.p_at[v] = self.stamp
-            self._touch(v)
+            bases.append(self._get_base(v))
+            bases.append(self._get_base(mate[v]))
+            inner.append(mate[v])
+            self._set_p(v, child)
             child = mate[v]
             v = self._get_p(child)
 
@@ -147,41 +125,38 @@ class _Blossom:
         vertex is reached.  True iff the matching grew."""
         self.stamp += 1
         stamp = self.stamp
-        self.touched = []
+        self.start = self.clock + 1
         adj = self.adj
         mate = self.mate
-        alive = self.alive
+        base = self.base
+        base_at = self.base_at
         used_at = self.used_at
         used_at[root] = stamp
-        self._touch(root)
         queue = deque([root])
         while queue:
             v = queue.popleft()
             for to in adj[v]:
-                if not alive[to]:
-                    continue
                 if self._get_base(v) == self._get_base(to) or mate[v] == to:
                     continue
                 if to == root or (mate[to] != -1 and self._get_p(mate[to]) != -1):
                     # to is outer: the edge closes an odd cycle (blossom)
                     cur_base = self._lca(v, to)
-                    self.bstamp += 1
-                    bstamp = self.bstamp
-                    self._mark_path(v, cur_base, to, bstamp)
-                    self._mark_path(to, cur_base, v, bstamp)
-                    bloss_at = self.bloss_at
-                    for i in list(self.touched):
-                        if bloss_at[self._get_base(i)] == bstamp:
-                            self.base[i] = cur_base
-                            self.base_at[i] = stamp
-                            if used_at[i] != stamp:
-                                used_at[i] = stamp
-                                self._touch(i)
-                                queue.append(i)
+                    bases: list[int] = []
+                    inner: list[int] = []
+                    self._mark_path(v, cur_base, to, bases, inner)
+                    self._mark_path(to, cur_base, v, bases, inner)
+                    for b in bases:
+                        base[b] = cur_base
+                        base_at[b] = stamp
+                    # the cycle's inner vertices become outer, queued in the
+                    # order the search reached them: queue order decides
+                    # which augmenting path is found, and so the mates
+                    for i in sorted(inner, key=self.p_at.__getitem__):
+                        if used_at[i] != stamp:
+                            used_at[i] = stamp
+                            queue.append(i)
                 elif self._get_p(to) == -1:
-                    self.p[to] = v
-                    self.p_at[to] = stamp
-                    self._touch(to)
+                    self._set_p(to, v)
                     if mate[to] == -1:
                         # augment: flip matched status back to the root
                         while to != -1:
@@ -193,7 +168,6 @@ class _Blossom:
                         return True
                     w = mate[to]
                     used_at[w] = stamp
-                    self._touch(w)
                     queue.append(w)
         return False
 
@@ -208,24 +182,22 @@ def maximum_matching(n: int, edges, seed_mate=None) -> np.ndarray:
     """
     adj = _build_adjacency(n, edges)
     mate = [-1] * n
-    alive = [True] * n
     if seed_mate is not None:
         if len(seed_mate) != n:
             raise DomainError("seed_mate length must equal n")
         for v in range(n):
             w = int(seed_mate[v])
-            if w < 0:
+            if w == -1:
                 continue
+            if not 0 <= w < n:
+                raise DomainError(f"seed_mate[{v}] = {w} is neither -1 nor a vertex")
             if w == v or int(seed_mate[w]) != v:
                 raise DomainError("seed_mate is not a symmetric matching")
             if v not in adj[w]:
                 raise DomainError("seed_mate uses a non-edge")
             mate[v] = w
-    else:
-        _force_degree_one(n, adj, mate, alive)
-        _greedy_seed(n, adj, mate, alive)
 
-    engine = _Blossom(adj, mate, alive)
+    engine = _Blossom(adj, mate)
     for root in range(n):
         if mate[root] == -1 and adj[root]:
             engine.search(root)

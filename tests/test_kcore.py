@@ -159,15 +159,6 @@ def test_audit_house_graph_hand_counts():
     assert [p["label"] for p in parsed] == list("abcdefgh")
 
 
-def test_audit_respects_supplied_degrees():
-    res = k_core(HOUSE, 2)
-    # pretend a loop doubles vertex 1's degree: it leaves W0
-    rep = audit_lw0(res, 2, multigraph_degrees=[3, 4, 3, 2, 2])
-    assert rep.part("b").measured == 2
-    with pytest.raises(DomainError):
-        audit_lw0(res, 2, multigraph_degrees=[2, 2])
-
-
 def test_audit_tracks_core_law_at_moderate_scale():
     # one sampled instance against the limit laws; the acceptance harness
     # repeats this at n = 10^5 over five seeds with tighter tolerance

@@ -7,6 +7,7 @@ witnesses and certificates; randomized runs cross-check the constructive
 route against the exhaustive one and against a direct edge-subset search.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -15,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kflab.analytics import c_k_threshold
 from kflab.errors import DomainError, InfeasibleError
 from kflab.graphs import Graph
+from kflab.kcore import k_core
 from kflab.kfactor import (
     BRUTE_FORCE_CAP,
     FactorCertificate,
@@ -30,6 +33,7 @@ from kflab.kfactor import (
     tutte_q,
     verify_k_factor,
 )
+from kflab.randgraph import gen_gnp
 from kflab.rng import make_rng
 
 # two triangles sharing vertex 0: its only deg >= 2 obstruction is the cut
@@ -318,6 +322,32 @@ def test_factor_rejects_loops():
 def test_factor_k_guard():
     with pytest.raises(DomainError):
         find_k_factor(C4, 0)
+
+
+# Seeded k-cores of G(n, (c_k + offset)/n) whose greedy seed leaves exposed
+# gadget nodes, so each certificate depends on the blossom engine's search
+# order; seeds 236, 253 (k=4) and 30 (k=5) change if a contracted
+# blossom's inner vertices are queued out of discovery order.  Pinned as
+# the sha256 of to_json().
+GOLDEN_CERTIFICATES = [
+    # (k, n, offset, gen_gnp seed, sha256)
+    (4, 600, 0.2, 8, "67a716aab89338f3a1b21a32873b92d06aea93b476586698b3f0829c804d5136"),
+    (4, 600, 0.2, 32, "031aebb566847486cfafba15036d647d919896cba5f0d8a5309882c089d91051"),
+    (4, 600, 0.2, 236, "82ca69f4276e4d37dc86cde13c463c4e987ac1b93b12e2393a4282d19dc3e158"),
+    (4, 600, 0.2, 253, "4656aa86273e826efe388a39f0186544307748d608cc94d13ae62b81975b55f6"),
+    (5, 300, 1.5, 3, "0288e2fe4ea8007dcedcfdef639f5e291cd632ecc48db2389ed991565799862d"),
+    (5, 300, 1.5, 11, "b7471ce6e1d3161eff4ab948466cc74b01bd928d94fd48592ca38d82428659e0"),
+    (5, 300, 1.5, 22, "de213a205c314e7ff4d01d80c69c19940eb175c6ba5dc6b2f038af4480e8309f"),
+    (5, 300, 1.5, 30, "3d8992c8fb000ba56f9b7221120bd48eeb1c53536bbe0aa6ac39c9183c1470f3"),
+]
+
+
+def test_factor_golden_certificates():
+    for k, n, offset, seed, digest in GOLDEN_CERTIFICATES:
+        core = k_core(gen_gnp(n, c_k_threshold(k)[0] + offset, seed), k).core
+        cert = find_k_factor(core, k)
+        assert cert is not None, (k, seed)
+        assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest, (k, seed)
 
 
 # ----------------------------------------------------- verify_k_factor

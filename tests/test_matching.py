@@ -145,6 +145,12 @@ def test_seed_mate_validation():
         maximum_matching(2, [(0, 1)], seed_mate=[1, 0, -1])  # wrong length
     with pytest.raises(DomainError):
         maximum_matching(2, [(0, 5)])  # edge out of range
+    with pytest.raises(DomainError):
+        maximum_matching(2, [(5, 5)])  # loop out of range
+    with pytest.raises(DomainError):
+        maximum_matching(2, [(0, 1)], seed_mate=[5, -1])  # mate out of range
+    with pytest.raises(DomainError):
+        maximum_matching(2, [(0, 1)], seed_mate=[-3, -1])  # negative, not -1
 
 
 def test_seeded_equals_unseeded_cardinality():
