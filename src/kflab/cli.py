@@ -38,15 +38,6 @@ def _read_graph(path: str):
     return parse_edge_text(text)
 
 
-def _cap_kwargs(args) -> dict:
-    kwargs = {}
-    if args.beta_override is not None:
-        kwargs["beta_override"] = args.beta_override
-    if args.cap_multiplier is not None:
-        kwargs["cap_multiplier"] = args.cap_multiplier
-    return kwargs
-
-
 def _cmd_gen(args) -> int:
     g = gen_gnp(args.n, args.c, args.seed)
     _emit(format_edge_text(g), args.out)
@@ -73,7 +64,12 @@ def _cmd_core(args) -> int:
 
 def _cmd_strip(args) -> int:
     g = _read_graph(args.path)
-    res = run_strip(g, args.k, **_cap_kwargs(args))
+    res = run_strip(
+        g,
+        args.k,
+        cap_multiplier=args.cap_multiplier,
+        beta_override=args.beta_override,
+    )
     res = enforce_parity(res, args.k)
     rep = verify_K(res.K, args.k, ambient_n=g.n)
     if args.out:

@@ -146,6 +146,17 @@ class Graph:
         xadj, adjv, adjm = self._csr()
         return _split_rows(xadj, np.ones_like(adjv) if adjm is None else adjm)
 
+    def neighbors_in(self, mask: np.ndarray, weights=None) -> np.ndarray:
+        """Per-vertex count of neighbors inside the boolean mask, each edge
+        row weighted by weights: None (1 per row) counts distinct
+        neighbors, mult counts edges.  Loops are not counted.  On disjoint
+        X, Y the edge count e(X, Y) is neighbors_in(in_y)[in_x].sum()."""
+        e = self.edge_array
+        w = 1 if weights is None else weights
+        out = np.bincount(e[:, 0], weights=w * mask[e[:, 1]], minlength=self.n)
+        out += np.bincount(e[:, 1], weights=w * mask[e[:, 0]], minlength=self.n)
+        return out.astype(np.int64)
+
     def edge_tuples(self) -> list[tuple[int, int]]:
         return [(int(u), int(v)) for u, v in self.edge_array]
 
@@ -220,10 +231,10 @@ def parse_edge_text(text: str) -> Graph:
     edges = np.empty((m, 2), dtype=np.int64)
     prev = (-1, -1)
     for i, row in enumerate(rows[1:]):
-        parts = row.split()
-        if len(parts) != 2:
-            raise DomainError(f"bad edge line: {row!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = map(int, row.split())
+        except ValueError as exc:
+            raise DomainError(f"bad edge line: {row!r}") from exc
         if not (0 <= u < v < n):
             raise DomainError(f"edge ({u},{v}) violates 0 <= u < v < n")
         if (u, v) <= prev:

@@ -175,12 +175,13 @@ def _pipeline(n, c, k, seed, mode, beta_override, cap_multiplier):
                 host = to_multigraph(cfg)
             else:
                 host = cr.core
-            kwargs = {"ambient_n": n}
-            if beta_override is not None:
-                kwargs["beta_override"] = beta_override
-            if cap_multiplier is not None:
-                kwargs["cap_multiplier"] = cap_multiplier
-            res = run_strip(host, k, **kwargs)
+            res = run_strip(
+                host,
+                k,
+                cap_multiplier=cap_multiplier,
+                beta_override=beta_override,
+                ambient_n=n,
+            )
             stage = "parity"
             res = enforce_parity(res, k)
             reason = res.halted_reason
@@ -364,16 +365,9 @@ def elbr_report(g: Graph, k: int, c: float | None = None) -> dict:
     """
     core = k_core(g, k).core
     w0 = core.degrees == k
-    if core.n and core.m:
-        e = core.edge_array
-        dw0 = np.zeros(core.n, dtype=np.int64)
-        np.add.at(dw0, e[:, 0], w0[e[:, 1]].astype(np.int64))
-        np.add.at(dw0, e[:, 1], w0[e[:, 0]].astype(np.int64))
-        d = dw0[w0]
-        num = int(np.sum(d * (d - 1)))
-        den = int(np.sum(d))
-    else:
-        num = den = 0
+    d = core.neighbors_in(w0)[w0]
+    num = int(np.sum(d * (d - 1)))
+    den = int(np.sum(d))
     ratio = num / den if den else 0.0
     try:
         alpha = threshold_params(k).alpha
@@ -425,12 +419,9 @@ def audit_graph(
         return json.dumps(elbr_report(g, k, c=c), separators=(",", ":"))
     if which == "trace":
         core = k_core(g, k).core
-        kwargs = {}
-        if beta_override is not None:
-            kwargs["beta_override"] = beta_override
-        if cap_multiplier is not None:
-            kwargs["cap_multiplier"] = cap_multiplier
-        return run_strip(core, k, **kwargs).trace.to_csv()
+        return run_strip(
+            core, k, cap_multiplier=cap_multiplier, beta_override=beta_override
+        ).trace.to_csv()
     raise DomainError(f"unknown audit kind {which!r}; expected {AUDIT_KINDS}")
 
 

@@ -152,19 +152,10 @@ def audit_lw0(result: CoreResult, k: int) -> Lw0Report:
     deg = core.degrees
     w0 = deg == k
 
-    if core.n:
-        e = core.edge_array
-        u_w0 = w0[e[:, 0]]
-        v_w0 = w0[e[:, 1]]
-        e_w0w0 = int(np.sum(u_w0 & v_w0))
-        e_w0r = int(np.sum(u_w0 ^ v_w0))
-        e_rr = int(np.sum(~u_w0 & ~v_w0))
-        w0_nbrs = np.zeros(core.n, dtype=np.int64)
-        np.add.at(w0_nbrs, e[:, 0], v_w0)
-        np.add.at(w0_nbrs, e[:, 1], u_w0)
-    else:
-        e_w0w0 = e_w0r = e_rr = 0
-        w0_nbrs = np.zeros(0, dtype=np.int64)
+    w0_nbrs = core.neighbors_in(w0)
+    e_w0w0 = int(w0_nbrs[w0].sum()) // 2
+    e_w0r = int(w0_nbrs[~w0].sum())
+    e_rr = core.m - e_w0w0 - e_w0r
 
     heavy = deg > 2 * k
     heavy_total_degree = int(deg[heavy].sum())

@@ -114,6 +114,12 @@ def _check_sets(g: Graph, S, T) -> tuple[set[int], set[int]]:
     return s, t
 
 
+def _mask(g: Graph, vertices: set[int]) -> np.ndarray:
+    out = np.zeros(g.n, dtype=bool)
+    out[list(vertices)] = True
+    return out
+
+
 def _require_simple(g) -> Graph:
     if not isinstance(g, Graph) or not g.is_simple():
         raise DomainError("expected a simple Graph, without parallel edges or loops")
@@ -128,6 +134,7 @@ def tutte_q(g: Graph, k: int, S, T) -> int:
         raise DomainError(f"k must be >= 1, got {k}")
     s, t = _check_sets(g, S, T)
     removed = s | t
+    t_nbrs = g.neighbors_in(_mask(g, t))
     seen = [False] * g.n
     count = 0
     for start in range(g.n):
@@ -144,7 +151,7 @@ def tutte_q(g: Graph, k: int, S, T) -> int:
                 if not seen[u] and u not in removed:
                     seen[u] = True
                     stack.append(u)
-        e_qt = sum(1 for v in comp for u in g.neighbors(v) if int(u) in t)
+        e_qt = int(t_nbrs[comp].sum())
         if (k * len(comp)) % 2 != e_qt % 2:
             count += 1
     return count
@@ -164,8 +171,7 @@ def tutte_check(g: Graph, k: int, S, T, strong: bool = False) -> TutteWitness:
         raise DomainError("tutte_check requires minimum degree >= k")
     s, t = _check_sets(g, S, T)
     q = tutte_q(g, k, s, t)
-    e_st = sum(1 for u, v in g.edge_tuples()
-               if (u in s and v in t) or (v in s and u in t))
+    e_st = int(g.neighbors_in(_mask(g, t))[_mask(g, s)].sum())
     t_high = [v for v in t if int(deg[v]) >= k + 1]
     if strong:
         lhs = k * len(s) + len(t_high)
@@ -678,26 +684,9 @@ def _audit_exact(g: Graph, k, eps0, gamma) -> list[PropertyResult]:
     return out
 
 
-def _pair_stats(edge_arr, in_x, in_y):
-    u = edge_arr[:, 0]
-    v = edge_arr[:, 1]
-    e_xy = int(np.sum((in_x[u] & in_y[v]) | (in_y[u] & in_x[v])))
-    return e_xy
-
-
-def _neighbors_in(edge_arr, in_x, n):
-    nb = np.zeros(n, dtype=bool)
-    u = edge_arr[:, 0]
-    v = edge_arr[:, 1]
-    nb[v[in_x[u]]] = True
-    nb[u[in_x[v]]] = True
-    return nb
-
-
 def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResult]:
     n = g.n
     deg = g.degrees.astype(np.float64)
-    edge_arr = g.edge_array if g.m else np.zeros((0, 2), dtype=np.int64)
     c6a, c6b = _p6_terms(k)
     local_moves = 8
     draws = max(1, budget // (6 * (1 + local_moves)))
@@ -708,19 +697,13 @@ def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResul
     p5_cap = math.ceil(eps0 * n / 10) - 1  # |T| < eps0 n / 10
     p5_floor = int(9 * eps0 * n / 10) + 1  # |S| > 9 eps0 n / 10
 
-    def e_between(in_x, in_y):
-        if not len(edge_arr):
-            return 0
-        return _pair_stats(edge_arr, in_x, in_y)
-
     # each spec: eligibility over sizes, evaluator -> (margin, violated)
     def ok_p1(ny):
         return 1 <= ny <= p1_cap
 
     def eval_p1(in_y):
         ny = int(in_y.sum())
-        e_y = int(np.sum(in_y[edge_arr[:, 0]] & in_y[edge_arr[:, 1]])) if len(edge_arr) else 0
-        m = k * ny / 6000.0 - e_y
+        m = k * ny / 6000.0 - g.neighbors_in(in_y)[in_y].sum() // 2
         return m, m <= 0
 
     def ok_p2(ny):
@@ -728,7 +711,7 @@ def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResul
 
     def eval_p2(in_y):
         ny = int(in_y.sum())
-        cut = e_between(in_y, ~in_y)
+        cut = g.neighbors_in(~in_y)[in_y].sum()
         m = cut - gamma * k * ny
         return m, m < 0
 
@@ -737,7 +720,7 @@ def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResul
 
     def eval_p3(in_x, in_y):
         nx = int(in_x.sum())
-        m = 0.5 * gamma * k * nx - e_between(in_x, in_y)
+        m = 0.5 * gamma * k * nx - g.neighbors_in(in_y)[in_x].sum()
         return m, m <= 0
 
     def ok_p4(nx, ny):
@@ -745,8 +728,8 @@ def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResul
 
     def eval_p4(in_x, in_y):
         nx = int(in_x.sum())
-        common = int(np.sum(_neighbors_in(edge_arr, in_x, n) & in_y)) if len(edge_arr) else 0
-        m = (1 + 1 / 2000.0) * common + k * nx / 100.0 - e_between(in_x, in_y)
+        common = int(np.sum((g.neighbors_in(in_x) > 0) & in_y))
+        m = (1 + 1 / 2000.0) * common + k * nx / 100.0 - g.neighbors_in(in_y)[in_x].sum()
         return m, m <= 0
 
     def ok_p5(ns, nt):
@@ -754,7 +737,7 @@ def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResul
 
     def eval_p5(in_s, in_t):
         ns = int(in_s.sum())
-        m = 0.75 * k * ns - e_between(in_s, in_t)
+        m = 0.75 * k * ns - g.neighbors_in(in_t)[in_s].sum()
         return m, m <= 0
 
     def ok_p6(ns, nt):
@@ -763,7 +746,7 @@ def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResul
     def eval_p6(in_s, in_t):
         ns = int(in_s.sum())
         nt = int(in_t.sum())
-        m1 = k * ns + c6a * nt - e_between(in_s, in_t)
+        m1 = k * ns + c6a * nt - g.neighbors_in(in_t)[in_s].sum()
         m2 = float(deg[in_t].sum()) - (k + c6b) * nt
         return min(m1, m2), (m1 < 0 or m2 <= 0)
 

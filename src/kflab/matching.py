@@ -23,22 +23,9 @@ from collections import deque
 import numpy as np
 
 from .errors import DomainError
+from .graphs import Graph
 
 __all__ = ["maximum_matching", "matched_pairs", "perfect_matching_exists"]
-
-
-def _build_adjacency(n: int, edges) -> list[list[int]]:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        u = int(u)
-        v = int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise DomainError(f"edge ({u}, {v}) out of range for n = {n}")
-        if u == v:
-            continue  # a loop can never be matched
-        adj[u].add(v)
-        adj[v].add(u)
-    return [sorted(s) for s in adj]
 
 
 class _Blossom:
@@ -175,12 +162,13 @@ class _Blossom:
 def maximum_matching(n: int, edges, seed_mate=None) -> np.ndarray:
     """Return a maximum matching as a mate array (-1 for exposed vertices).
 
-    edges is any iterable of (u, v) pairs; duplicates and loops are
-    ignored.  seed_mate, when given, must be a valid matching over the
-    edges; it is grown, never torn down, so committed pairs stay matched.
+    edges is a sequence of (u, v) pairs or an (m, 2) array; duplicates and
+    loops are ignored.  seed_mate, when given, must be a valid matching
+    over the edges; it is grown, never torn down, so committed pairs stay
+    matched.
     Deterministic: no randomness, ties broken by vertex id.
     """
-    adj = _build_adjacency(n, edges)
+    adj = Graph.from_pairs(n, edges).adjacency()
     mate = [-1] * n
     if seed_mate is not None:
         if len(seed_mate) != n:

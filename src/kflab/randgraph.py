@@ -8,6 +8,7 @@ sharing the same split-degree information.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -179,8 +180,10 @@ def gen_gnp(n: int, c: float, seed: int) -> Graph:
     return Graph(n, edges, _canonical=True)
 
 
-def sample_configuration(degrees, seed: int) -> Configuration:
-    """Uniform pairing of the copies: shuffle and pair consecutive."""
+def _pairings(degrees, seed: int):
+    """Uniform pairings of the copies, one per attempt from one seeded
+    stream: shuffle all copies and pair consecutive ones.  The degrees are
+    checked on the first draw."""
     degrees = np.asarray(degrees, dtype=np.int64)
     if np.any(degrees < 0):
         raise DomainError("degrees must be >= 0")
@@ -188,13 +191,19 @@ def sample_configuration(degrees, seed: int) -> Configuration:
     if total % 2 != 0:
         raise ParityError(f"degree sum {total} is odd, no pairing exists")
     rng = make_rng(seed)
-    perm = rng.permutation(total)
-    mate = np.empty(total, dtype=np.int64)
-    mate[perm[0::2]] = perm[1::2]
-    mate[perm[1::2]] = perm[0::2]
-    cfg = Configuration(degrees=degrees, mate=mate)
-    cfg.validate()
-    return cfg
+    for attempt in itertools.count(1):
+        perm = rng.permutation(total)
+        mate = np.empty(total, dtype=np.int64)
+        mate[perm[0::2]] = perm[1::2]
+        mate[perm[1::2]] = perm[0::2]
+        cfg = Configuration(degrees=degrees, mate=mate, attempts=attempt)
+        cfg.validate()
+        yield cfg
+
+
+def sample_configuration(degrees, seed: int) -> Configuration:
+    """Uniform pairing of the copies: shuffle and pair consecutive."""
+    return next(_pairings(degrees, seed))
 
 
 def project_multigraph(cfg: Configuration) -> tuple[Graph, int, int]:
@@ -221,20 +230,8 @@ def sample_simple_with_degrees(
     max_attempts failures an exhaustion error is raised and the caller may
     fall back to multigraph mode.
     """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    total = int(degrees.sum())
-    if total % 2 != 0:
-        raise ParityError(f"degree sum {total} is odd, no pairing exists")
-    rng = make_rng(seed)
-    for attempt in range(1, max_attempts + 1):
-        perm = rng.permutation(total)
-        mate = np.empty(total, dtype=np.int64)
-        mate[perm[0::2]] = perm[1::2]
-        mate[perm[1::2]] = perm[0::2]
-        cfg = Configuration(degrees=degrees, mate=mate, attempts=attempt)
-        cfg.validate()
-        _, loops, multis = project_multigraph(cfg)
-        if loops == 0 and multis == 0:
+    for cfg in itertools.islice(_pairings(degrees, seed), max_attempts):
+        if to_multigraph(cfg).is_simple():
             return cfg
     raise ExhaustionError(
         f"no simple configuration within {max_attempts} attempts"

@@ -138,7 +138,7 @@ class StripState:
         self,
         core: Graph,
         k: int,
-        cap_multiplier: float = 1.0,
+        cap_multiplier: float | None = None,
         beta_override: float | None = None,
         ambient_n: int | None = None,
         debug: bool = False,
@@ -167,7 +167,8 @@ class StripState:
         if self.beta_eff <= 0:
             raise DomainError("beta must be positive")
         self.k7b = float(k) ** 7 * self.beta_eff
-        self.cap = int(math.ceil(cap_multiplier * self.beta_eff * self.ambient_n))
+        scale = 1.0 if cap_multiplier is None else cap_multiplier
+        self.cap = int(math.ceil(scale * self.beta_eff * self.ambient_n))
 
         self.alive = np.ones(n, dtype=bool)
         self.deg = deg
@@ -202,8 +203,7 @@ class StripState:
     def _initial_deg_w0(self) -> np.ndarray:
         """Edge ends from each vertex into W0, a loop inside W0 counting 2."""
         w0 = self.class_of == W0
-        mult = 1 if self.core.mult is None else self.core.mult
-        return _neighbors_in(self.core, w0, mult) + 2 * self.loops * w0
+        return self.core.neighbors_in(w0, self.core.mult) + 2 * self.loops * w0
 
     def _live_neighbors(self, v: int):
         """(neighbor, multiplicity) over live distinct neighbors of v."""
@@ -265,7 +265,7 @@ class StripState:
 def strip_init(
     core,
     k: int,
-    cap_multiplier: float = 1.0,
+    cap_multiplier: float | None = None,
     beta_override: float | None = None,
     ambient_n: int | None = None,
     debug: bool = False,
@@ -413,7 +413,7 @@ def _finalize(state: StripState, halted_reason: str) -> StripResult:
 def run_strip(
     core,
     k: int,
-    cap_multiplier: float = 1.0,
+    cap_multiplier: float | None = None,
     beta_override: float | None = None,
     ambient_n: int | None = None,
     debug: bool = False,
@@ -421,8 +421,9 @@ def run_strip(
     """Iterate deletions until the queue empties or the iteration cap hits.
 
     The cap is ceil(cap_multiplier * beta * n) with n the ambient vertex
-    count (defaulting to the core size) and beta = e^(-k/200) unless
-    overridden.  Identical inputs give identical results, trace included.
+    count (defaulting to the core size), cap_multiplier 1 unless given, and
+    beta = e^(-k/200) unless overridden.  Identical inputs give identical
+    results, trace included.
     """
     state = strip_init(
         core,
@@ -440,15 +441,6 @@ def run_strip(
         strip_step(state)
 
 
-def _neighbors_in(g: Graph, mask: np.ndarray, weights=1) -> np.ndarray:
-    """Per-vertex count of neighbors inside mask, each weighted by its edge
-    row's weight: 1 counts distinct neighbors, g.mult counts edges."""
-    e = g.edge_array
-    out = np.bincount(e[:, 0], weights=weights * mask[e[:, 1]], minlength=g.n)
-    out += np.bincount(e[:, 1], weights=weights * mask[e[:, 0]], minlength=g.n)
-    return out.astype(np.int64)
-
-
 def verify_K(K: Graph, k: int, ambient_n: int | None = None) -> KReport:
     """Check the target properties of a stripped remainder.
 
@@ -458,14 +450,9 @@ def verify_K(K: Graph, k: int, ambient_n: int | None = None) -> KReport:
     Degrees count multiplicity, and loops twice.
     """
     deg = K.degrees
-    if K.n == 0:
-        k1 = True
-        k2 = True
-    else:
-        k1 = bool(np.all((deg >= k) & (deg <= 2 * k)))
-        low_nbrs = _neighbors_in(K, deg == k)
-        high = deg >= k + 1
-        k2 = bool(np.all(low_nbrs[high] <= (9 * k) // 10))
+    k1 = bool(np.all((deg >= k) & (deg <= 2 * k)))
+    low_nbrs = K.neighbors_in(deg == k)
+    k2 = bool(np.all(low_nbrs[deg >= k + 1] <= (9 * k) // 10))
     k3 = None if ambient_n is None else bool(K.n >= ambient_n / 3)
     k4 = (k * K.n) % 2 == 0
     return KReport(k1=k1, k2=k2, k3=k3, k4=k4)
@@ -480,7 +467,7 @@ def enforce_parity(result: StripResult, k: int) -> StripResult:
     if (k * result.K.n) % 2 == 0:
         return replace(result, k4_action="none", k4_vertex=None)
     deg = result.K.degrees
-    eligible = np.flatnonzero((deg > k) & (_neighbors_in(result.K, deg <= k) == 0))
+    eligible = np.flatnonzero((deg > k) & (result.K.neighbors_in(deg <= k) == 0))
     if len(eligible) == 0:
         return replace(result, k4_action="failed", k4_vertex=None)
     v = int(eligible[0])

@@ -89,6 +89,14 @@ def test_missing_file_is_input_error(capsys):
     assert "error:" in err
 
 
+def test_non_integer_edge_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("3 1\n0 x\n")
+    code, _, err = run(capsys, "factor", str(path), "--k", "2")
+    assert code == 2
+    assert "error:" in err
+
+
 def test_bad_n_is_input_error(capsys):
     code, _, err = run(capsys, "gen", "--n", "-5", "--c", "1.0")
     assert code == 2

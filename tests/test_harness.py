@@ -6,6 +6,7 @@ count and any execution order; the pinned n=200 scan below is the frozen
 reference for the CSV schema.
 """
 
+import hashlib
 import json
 import os
 
@@ -297,6 +298,23 @@ def test_audit_dispatch(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(format_edge_text(g))
     assert audit_file(str(path), 5, "elbr") == audit_graph(g, 5, "elbr")
+
+
+# sha256 of each audit report on one seeded G(n, c/n) near c_5 (the P
+# audit samples, since n > 12), recorded before the neighbour counts moved
+# onto Graph.neighbors_in.
+GOLDEN_AUDITS = {
+    "lw0": "c0514d45eb43eb5f17a8a4cf51d84f2225f1f0654634ea8da53f393c581af716",
+    "P": "dec8b6abcdca1fc3cee74d0a56c15fd91a232b7fe1d0c0cd5352e2e010cfe656",
+    "elbr": "ea4e2e22553083cf6720ce259c0194364bac656c3de2b2f7e08077d94a795903",
+}
+
+
+def test_audit_golden_outputs():
+    g = gen_gnp(3000, c_k_threshold(5)[0] + 0.2, seed=7)
+    for which, digest in GOLDEN_AUDITS.items():
+        out = audit_graph(g, 5, which)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, which
 
 
 def test_audit_empty_graph_file(tmp_path):

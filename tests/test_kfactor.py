@@ -143,6 +143,26 @@ def test_check_rejects_multigraph():
 # ---------------------------------------------------- brute_force_tutte
 
 
+# sha256 of tutte_check(...).to_json() for seeded (S, T) pairs, sizes
+# (|S|, |T|), of the 4-core of G(600, (c_4 + 0.2)/n), seed 3.
+GOLDEN_TUTTE = [
+    (0, 0, "d28f0edc95c71f3648501757197c599f3c34b4d0f3fbd683888ec0bb6910b24a"),
+    (0, 40, "7c771c012deafe205e685525acd4ba258ed4f6a365cc77630af6b5c6201fe6f6"),
+    (30, 0, "39f39c2c84727066f9450b089b7992b6d33f6334366037c36346e4a699f53c66"),
+    (20, 60, "b963f51d846cbad02ab0b089ee6c4d12cdfebfef070ee5dfa9e77c1705c845c8"),
+    (100, 200, "b6aa39058ad6b827a8b94c2f881e88b6db203a2cdfb5ecda77600384275ef49a"),
+]
+
+
+def test_check_golden_witnesses():
+    core = k_core(gen_gnp(600, c_k_threshold(4)[0] + 0.2, seed=3), 4).core
+    rng = make_rng(5)
+    for ns, nt, digest in GOLDEN_TUTTE:
+        perm = rng.permutation(core.n)
+        w = tutte_check(core, 4, perm[:ns], perm[ns:ns + nt])
+        assert hashlib.sha256(w.to_json().encode()).hexdigest() == digest, (ns, nt)
+
+
 def test_brute_hand_verdicts():
     assert brute_force_tutte(K4, 3) is None
     assert brute_force_tutte(K4, 2) is None

@@ -57,6 +57,10 @@ def test_trivial_cases():
     assert maximum_matching(2, [(0, 1)]).tolist() == [1, 0]
     # loops and duplicates are ignored
     assert maximum_matching(2, [(0, 0), (0, 1), (1, 0)]).tolist() == [1, 0]
+    # the same edges as an (m, 2) array, and with every pair reversed
+    arr = np.array([(0, 0), (0, 1), (1, 0)], dtype=np.int64)
+    assert maximum_matching(2, arr).tolist() == [1, 0]
+    assert maximum_matching(2, arr[:, ::-1]).tolist() == [1, 0]
 
 
 def test_path_and_cycles():

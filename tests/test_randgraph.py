@@ -235,6 +235,14 @@ def test_multigraph_from_pairs():
     # without repeats or loops a multiset is the simple graph
     assert Graph.from_pairs(3, [(2, 1), (0, 1)]) == Graph(3, [(1, 2), (0, 1)])
     assert Graph.from_pairs(3, [(2, 1)]).is_simple()
+    # neighbors_in counts distinct neighbors, or edges with weights=mult
+    in_01 = np.array([True, True, False, False])
+    assert mg.neighbors_in(in_01).tolist() == [1, 1, 0, 1]
+    assert mg.neighbors_in(in_01, mg.mult).tolist() == [2, 2, 0, 1]
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert path.neighbors_in(in_01).tolist() == [1, 1, 1, 0]
+    assert path.neighbors_in(~in_01).tolist() == [0, 1, 1, 1]
+    assert Graph(0, []).neighbors_in(np.zeros(0, dtype=bool)).tolist() == []
     with pytest.raises(DomainError):
         Graph.from_pairs(2, [(0, 2)])
     with pytest.raises(DomainError):
@@ -281,6 +289,10 @@ def test_sample_simple_first_try_and_exhaustion():
     assert cfg.attempts == 1
     with pytest.raises(ExhaustionError):
         sample_simple_with_degrees([2], 5, max_attempts=50)
+    with pytest.raises(DomainError):
+        sample_simple_with_degrees([-1, 3], 0)
+    with pytest.raises(ParityError):
+        sample_simple_with_degrees([3, 3, 1], 0)
 
 
 def test_sample_simple_three_regular_attempt_rate():

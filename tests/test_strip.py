@@ -142,6 +142,17 @@ def test_cap_uses_ambient_n():
     assert res.cap == 10
 
 
+def test_cap_multiplier_none_is_default():
+    core = random_core(11, 3, lo=40, hi=80)
+    a = run_strip(core, 3, cap_multiplier=None)
+    b = run_strip(core, 3)
+    assert a.cap == b.cap
+    assert a.trace.to_csv() == b.trace.to_csv()
+    assert a.K == b.K and a.kept.tolist() == b.kept.tolist()
+    assert a.summary_json() == b.summary_json()
+    assert strip_init(core, 3, cap_multiplier=None).cap == b.cap
+
+
 # --------------------------------------------------------- randomized checks
 
 def test_stepwise_invariants_simple_mode():
