@@ -122,7 +122,8 @@ class Graph:
             e = self.edge_array
             src = np.concatenate([e[:, 0], e[:, 1]])
             dst = np.concatenate([e[:, 1], e[:, 0]])
-            order = np.lexsort((dst, src))
+            # distinct rows make the key unique; int64 holds it while n**2 < 2**63
+            order = np.argsort(src * self.n + dst)
             self._adjv = dst[order]
             if self.mult is not None:
                 self._adjm = np.concatenate([self.mult, self.mult])[order]
@@ -134,6 +135,13 @@ class Graph:
         """Sorted distinct neighbor ids of v (a view into the CSR arrays)."""
         xadj, adjv, _ = self._csr()
         return adjv[xadj[v] : xadj[v + 1]]
+
+    def neighbors_of(self, vs: np.ndarray) -> np.ndarray:
+        """neighbors(v) of every v in the id array vs, concatenated."""
+        xadj, adjv, _ = self._csr()
+        counts = xadj[vs + 1] - xadj[vs]
+        offset = xadj[vs] - (np.cumsum(counts) - counts)
+        return adjv[np.repeat(offset, counts) + np.arange(counts.sum())]
 
     def adjacency(self) -> list[list[int]]:
         """neighbors(v) of every vertex, as Python lists."""

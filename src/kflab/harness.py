@@ -162,6 +162,7 @@ def _pipeline(n, c, k, seed, mode, beta_override, cap_multiplier):
         g = gen_gnp(n, c, seed)
         stage = "core"
         cr = k_core(g, k)
+        del g  # the ambient edges and CSR are not needed past the peel
         core_size = cr.core.n
         if core_size == 0:
             reason = "empty_core"

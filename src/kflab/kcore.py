@@ -1,16 +1,14 @@
 """k-core extraction by peeling, plus first-iteration structure audits.
 
-The peel is the classic worklist algorithm: repeatedly delete vertices of
-degree below k.  The resulting vertex set is order-independent; the
-recorded peel order is the deterministic worklist order of this
-implementation.
+The peel runs in rounds: each round deletes every remaining vertex of
+degree below k at once.  The resulting vertex set is order-independent;
+the recorded peel order is the rounds, ascending id within a round.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,8 @@ class CoreResult:
     """Maximal induced subgraph of minimum degree >= k, with provenance.
 
     core is compacted; vertex_map[i] is the ambient id of core vertex i
-    (ascending).  membership and peel_order use ambient ids.
+    (ascending).  membership and peel_order use ambient ids; peel_order
+    lists the peel's rounds, ascending id within a round.
     """
 
     core: Graph
@@ -47,8 +46,6 @@ class CoreResult:
 
     @property
     def degree_histogram(self) -> dict[int, int]:
-        if self.core.n == 0:
-            return {}
         counts = np.bincount(self.core.degrees)
         return {d: int(c) for d, c in enumerate(counts) if c}
 
@@ -76,20 +73,16 @@ def k_core(g: Graph, k: int) -> CoreResult:
         raise DomainError("k_core peels simple graphs only")
     deg = g.degrees.copy()
     alive = np.ones(g.n, dtype=bool)
-    adj = g.adjacency()
-    queued = deg < k
-    work = deque(np.flatnonzero(queued).tolist())
+    frontier = np.flatnonzero(deg < k)
     peel_order: list[int] = []
-    while work:
-        v = work.popleft()
-        alive[v] = False
-        peel_order.append(v)
-        for u in adj[v]:
-            if alive[u]:
-                deg[u] -= 1
-                if deg[u] < k and not queued[u]:
-                    queued[u] = True
-                    work.append(u)
+    while frontier.size:
+        alive[frontier] = False
+        peel_order.extend(frontier.tolist())
+        nbrs = g.neighbors_of(frontier)
+        hit, drop = np.unique(nbrs[alive[nbrs]], return_counts=True)
+        deg[hit] -= drop
+        # every survivor had degree >= k, so these just crossed below k
+        frontier = hit[deg[hit] < k]
     core, old_ids = g.induced_subgraph(alive)
     return CoreResult(
         core=core,

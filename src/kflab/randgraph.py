@@ -157,10 +157,8 @@ def gen_gnp(n: int, c: float, seed: int) -> Graph:
     if p == 0.0 or total == 0:
         return Graph(n, np.empty((0, 2), dtype=np.int64), _canonical=True)
     if p == 1.0:
-        u, v = np.triu_indices(n, k=1)
-        edges = np.column_stack([u, v]).astype(np.int64)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        return Graph(n, edges[order], _canonical=True)
+        u, v = np.triu_indices(n, k=1)  # row-major, so already canonical
+        return Graph(n, np.column_stack([u, v]), _canonical=True)
 
     rng = make_rng(seed)
     log1mp = math.log1p(-p)

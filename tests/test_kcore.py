@@ -39,6 +39,21 @@ def reference_core_set(g: Graph, k: int, seed: int) -> frozenset:
                 deg[u] -= 1
 
 
+def naive_rounds(g: Graph, k: int) -> tuple:
+    """Round-by-round peel recomputing every live degree from scratch."""
+    alive = set(range(g.n))
+    order = []
+    while True:
+        low = sorted(
+            v for v in alive
+            if sum(u in alive for u in g.neighbors(v).tolist()) < k
+        )
+        if not low:
+            return tuple(order)
+        order.extend(low)
+        alive.difference_update(low)
+
+
 def test_tree_has_empty_two_core():
     for seed in (1, 2, 3):
         res = k_core(random_tree(30, seed), 2)
@@ -64,6 +79,37 @@ def test_pendant_peels_to_the_cycle():
     assert res.vertex_map.tolist() == [0, 1, 2, 3, 4]
     assert res.core == Graph(5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)])
     assert res.degree_histogram == {2: 5}
+
+
+def test_path_peels_in_rounds_from_both_ends():
+    path = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert k_core(path, 2).peel_order == (0, 4, 1, 3, 2)
+
+
+def test_long_chain_off_a_clique_peels_one_vertex_per_round():
+    # K_6 on 0..5 with the path 5-6-...-45 hanging off vertex 5
+    clique = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    g = Graph(46, clique + [(v, v + 1) for v in range(5, 45)])
+    res = k_core(g, 2)
+    assert res.peel_order == tuple(range(45, 5, -1))
+    assert res.core == Graph(6, clique)
+    assert res.vertex_map.tolist() == list(range(6))
+    assert res.peel_order == naive_rounds(g, 2)
+
+
+def test_rounds_match_oracles_below_near_and_above_threshold():
+    for k in range(1, 7):
+        c_k = 1.0 if k < 3 else c_k_threshold(k)[0]
+        for j, c in enumerate((max(c_k - 1.0, 0.5), c_k, c_k + 1.0)):
+            g = gen_gnp(300, c, spawn_seed(606, "rounds", k, j))
+            res = k_core(g, k)
+            expect = reference_core_set(g, k, seed=j)
+            assert frozenset(np.flatnonzero(res.membership).tolist()) == expect
+            assert res.vertex_map.tolist() == sorted(expect)
+            keep = np.zeros(g.n, dtype=bool)
+            keep[sorted(expect)] = True
+            assert res.core == g.induced_subgraph(keep)[0]
+            assert res.peel_order == naive_rounds(g, k)
 
 
 def test_rejects_nonpositive_k():

@@ -253,6 +253,42 @@ def test_multigraph_from_pairs():
         Graph(2, [(1, 1)])
 
 
+def lexsort_adjacency(g: Graph) -> tuple[list, list]:
+    """adjacency() and adjacency_mult() rebuilt by a lexsort of both
+    orientations of every edge row."""
+    e = g.edge_array
+    mult = np.ones(g.m, dtype=np.int64) if g.mult is None else g.mult
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])
+    order = np.lexsort((dst, src))
+    adj = [[] for _ in range(g.n)]
+    amult = [[] for _ in range(g.n)]
+    for s, d, w in zip(src[order].tolist(), dst[order].tolist(),
+                       np.concatenate([mult, mult])[order].tolist()):
+        adj[s].append(d)
+        amult[s].append(w)
+    return adj, amult
+
+
+def test_csr_order_matches_lexsort_reference():
+    graphs = [Graph(0, []), Graph(1, []), Graph.from_pairs(1, [(0, 0)])]
+    for i, (n, c) in enumerate([(2, 1.0), (50, 1.5), (400, 6.0), (30, 30.0)]):
+        graphs.append(gen_gnp(n, c, spawn_seed(17, "csr", n, i)))
+    rng = np.random.default_rng(17)
+    for n in (3, 20, 200):
+        # repeats and loops on the first half only, so the rest is isolated
+        pairs = rng.integers(0, max(n // 2, 1), size=(3 * n, 2))
+        graphs.append(Graph.from_pairs(n, pairs))
+    assert not graphs[-1].is_simple() and graphs[-1].degrees[-1] == 0
+    for g in graphs:
+        adj, amult = lexsort_adjacency(g)
+        assert g.adjacency() == adj
+        assert g.adjacency_mult() == amult
+        vs = np.arange(g.n)[::-1]
+        assert g.neighbors_of(vs).tolist() == [u for v in vs.tolist() for u in adj[v]]
+    assert graphs[-1].neighbors_of(np.array([], dtype=np.int64)).tolist() == []
+
+
 def test_simple_fraction_matches_enumeration():
     # all 11!! = 10395 pairings of 12 copies, exactly 1296 project simple
     degrees = [3, 3, 3, 3]
