@@ -165,6 +165,16 @@ class Graph:
         out += np.bincount(e[:, 1], weights=w * mask[e[:, 0]], minlength=self.n)
         return out.astype(np.int64)
 
+    def rows_of(self, pairs: np.ndarray) -> np.ndarray:
+        """Row of edge_array holding each canonical (u < v) pair of the
+        (p, 2) array pairs, or -1 where the graph has no such edge."""
+        keys = self.edge_array[:, 0] * self.n + self.edge_array[:, 1]
+        want = pairs[:, 0] * self.n + pairs[:, 1]
+        pos = np.searchsorted(keys, want)
+        found = pos < len(keys)
+        found[found] = keys[pos[found]] == want[found]
+        return np.where(found, pos, -1)
+
     def edge_tuples(self) -> list[tuple[int, int]]:
         return [(int(u), int(v)) for u, v in self.edge_array]
 

@@ -120,6 +120,15 @@ def _mask(g: Graph, vertices: set[int]) -> np.ndarray:
     return out
 
 
+def _adjmask(g: Graph) -> list[int]:
+    """Per-vertex neighbour sets as int bitmasks."""
+    adjmask = [0] * g.n
+    for u, v in g.edge_tuples():
+        adjmask[u] |= 1 << v
+        adjmask[v] |= 1 << u
+    return adjmask
+
+
 def _require_simple(g) -> Graph:
     if not isinstance(g, Graph) or not g.is_simple():
         raise DomainError("expected a simple Graph, without parallel edges or loops")
@@ -208,10 +217,7 @@ def brute_force_tutte(g: Graph, k: int, restrict_m1m2: bool = False):
     if n and min(deg) < k:
         raise DomainError("brute_force_tutte requires minimum degree >= k")
 
-    adjmask = [0] * n
-    for u, v in g.edge_tuples():
-        adjmask[u] |= 1 << v
-        adjmask[v] |= 1 << u
+    adjmask = _adjmask(g)
     high_mask = 0
     for v in range(n):
         if deg[v] >= k + 1:
@@ -305,69 +311,69 @@ class GadgetReduction:
     d(v) - k slack nodes, completely joined; per host edge instance one
     external-external edge.  Perfect matchings biject with k-factors via
     the matched external-external pairs.
+
+    int64 arrays, over the m host edge instances (rows repeated by
+    multiplicity, in canonical order): host_degrees (n_host,) is d(v);
+    base (n_host,) is v's first node, its externals base[v] + [0, d(v))
+    and its slacks next; pair_edges (m, 2) row j joins the externals of
+    instance j, external i of v being v's i-th end in instance order;
+    edges (m + sum_v d(v)(d(v) - k), 2) is pair_edges, then each vertex's
+    slack block, external-major.
     """
 
     n_host: int
     k: int
     n_nodes: int
-    edges: tuple[tuple[int, int], ...]
-    instances: tuple[tuple[int, int], ...]
-    pair_edges: tuple[tuple[int, int], ...]
-    base: tuple[int, ...]
-    host_degrees: tuple[int, ...]
+    edges: np.ndarray
+    pair_edges: np.ndarray
+    base: np.ndarray
+    host_degrees: np.ndarray
 
 
-def _host_instances(g, allow_loops=False) -> tuple[int, list[tuple[int, int]], list[int]]:
-    """(n, non-loop edges repeated by multiplicity in canonical order, degrees)."""
+def _host_instances(g) -> np.ndarray:
+    """g's edge rows repeated by multiplicity: an (m, 2) canonical array."""
     if not isinstance(g, Graph):
         raise DomainError(f"expected a Graph, got {type(g).__name__}")
-    if g.loops is not None and not allow_loops:
+    if g.loops is not None:
         raise DomainError("loops cannot participate in a k-factor; "
                           "strip or reject them first")
-    rows = g.edge_array if g.mult is None else np.repeat(g.edge_array, g.mult, axis=0)
-    return g.n, list(map(tuple, rows.tolist())), g.degrees.tolist()
+    return g.edge_array if g.mult is None else np.repeat(g.edge_array, g.mult, axis=0)
 
 
 def gadget_reduce(g, k: int) -> GadgetReduction:
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    n, instances, deg = _host_instances(g)
-    for v in range(n):
-        if deg[v] < k:
-            raise InfeasibleError(
-                f"vertex {v} has degree {deg[v]} < k = {k}: no k-factor"
-            )
-    base = [0] * n
-    off = 0
-    for v in range(n):
-        base[v] = off
-        off += 2 * deg[v] - k  # d(v) externals + d(v) - k slacks
-    n_nodes = off
+    rows = _host_instances(g)
+    n, deg = g.n, g.degrees
+    low = np.flatnonzero(deg < k)
+    if len(low):
+        v = int(low[0])
+        raise InfeasibleError(f"vertex {v} has degree {deg[v]} < k = {k}: no k-factor")
+    slack = deg - k
+    size = deg + slack  # d(v) externals + d(v) - k slacks
+    base = np.cumsum(size) - size
 
-    edges: list[tuple[int, int]] = []
-    pair_edges: list[tuple[int, int]] = []
-    cursor = [0] * n
-    for u, v in instances:
-        eu = base[u] + cursor[u]
-        ev = base[v] + cursor[v]
-        cursor[u] += 1
-        cursor[v] += 1
-        pair_edges.append((eu, ev))
-        edges.append((eu, ev))
-    for v in range(n):
-        d = deg[v]
-        for ei in range(d):
-            for si in range(d - k):
-                edges.append((base[v] + ei, base[v] + d + si))
+    # external i of v is v's i-th end in instance order: its position in
+    # the stably sorted ends, plus the slack nodes of the vertices before v
+    order = np.argsort(rows.ravel(), kind="stable")
+    ext = np.empty_like(order)
+    ext[order] = np.arange(len(order)) + np.repeat(np.cumsum(slack) - slack, deg)
+    pair_edges = ext.reshape(-1, 2)
+    # slack block of v: external i joins slack j, i-major
+    block = deg * slack
+    owner = np.repeat(np.arange(n), block)
+    local = np.arange(len(owner)) - np.repeat(np.cumsum(block) - block, block)
     return GadgetReduction(
         n_host=n,
         k=k,
-        n_nodes=n_nodes,
-        edges=tuple(edges),
-        instances=tuple(instances),
-        pair_edges=tuple(pair_edges),
-        base=tuple(base),
-        host_degrees=tuple(deg),
+        n_nodes=int(size.sum()),
+        edges=np.concatenate([pair_edges, np.column_stack([
+            base[owner] + local // slack[owner],
+            base[owner] + deg[owner] + local % slack[owner],
+        ])]),
+        pair_edges=pair_edges,
+        base=base,
+        host_degrees=deg,
     )
 
 
@@ -380,13 +386,14 @@ def perfect_matching(n: int, edges):
     return matched_pairs(mate)
 
 
-def _greedy_degree_saturation(n, instances, k) -> list[bool]:
+def _greedy_degree_saturation(n, rows, k) -> list[bool]:
     """Forced-move greedy subgraph with all degrees <= k, aiming for = k.
 
     A vertex whose undecided incident edges barely cover its remaining
     requirement must take them all; otherwise edges are taken in input
     order.  Deterministic; linear in the instance count.
     """
+    instances = rows.tolist()
     m = len(instances)
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for j, (u, v) in enumerate(instances):
@@ -440,20 +447,20 @@ def _greedy_degree_saturation(n, instances, k) -> list[bool]:
     return chosen
 
 
-def _seed_mate(gadget: GadgetReduction, chosen) -> list[int]:
-    mate = [-1] * gadget.n_nodes
-    for j, (eu, ev) in enumerate(gadget.pair_edges):
-        if chosen[j]:
-            mate[eu] = ev
-            mate[ev] = eu
-    for v in range(gadget.n_host):
-        b = gadget.base[v]
-        d = gadget.host_degrees[v]
-        free_exts = [b + i for i in range(d) if mate[b + i] == -1]
-        for offset, ext in enumerate(free_exts[: d - gadget.k]):
-            slack = b + d + offset
-            mate[ext] = slack
-            mate[slack] = ext
+def _seed_mate(gadget: GadgetReduction, chosen) -> np.ndarray:
+    """The chosen pairs matched, then v's first d(v) - k free externals
+    matched to its slacks in order."""
+    chosen = np.asarray(chosen, dtype=bool)
+    mate = np.full(gadget.n_nodes, -1, dtype=np.int64)
+    eu, ev = gadget.pair_edges[chosen].T
+    mate[eu], mate[ev] = ev, eu
+    free = np.sort(gadget.pair_edges[~chosen].ravel())
+    owner = np.searchsorted(gadget.base, free, side="right") - 1
+    rank = np.arange(len(free)) - np.searchsorted(owner, owner)
+    deg = gadget.host_degrees[owner]
+    take = rank < deg - gadget.k
+    slack = (gadget.base[owner] + deg + rank)[take]
+    mate[free[take]], mate[slack] = slack, free[take]
     return mate
 
 
@@ -467,67 +474,47 @@ def find_k_factor(g, k: int):
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    n, instances, deg = _host_instances(g)
-    if (k * n) % 2 == 1:
+    rows = _host_instances(g)
+    if (k * g.n) % 2 == 1 or np.any(g.degrees < k):
         return None
-    if any(d < k for d in deg):
-        return None
-    if n == 0:
+    if g.n == 0:
         return FactorCertificate(k=k, edges=(), degrees=())
 
     gadget = gadget_reduce(g, k)
-    chosen = _greedy_degree_saturation(n, instances, k)
-    seed = _seed_mate(gadget, chosen)
+    seed = _seed_mate(gadget, _greedy_degree_saturation(g.n, rows, k))
     mate = maximum_matching(gadget.n_nodes, gadget.edges, seed_mate=seed)
     if not perfect_matching_exists(mate):
         return None
-    factor = [
-        gadget.instances[j]
-        for j, (eu, ev) in enumerate(gadget.pair_edges)
-        if mate[eu] == ev
-    ]
+    # rows are canonical, so the factor comes out sorted
+    factor = rows[mate[gadget.pair_edges[:, 0]] == gadget.pair_edges[:, 1]]
     cert = FactorCertificate(
         k=k,
-        edges=tuple(sorted(factor)),
-        degrees=tuple(_instance_degrees(n, factor)),
+        edges=tuple(map(tuple, factor.tolist())),
+        degrees=tuple(np.bincount(factor.ravel(), minlength=g.n).tolist()),
     )
     if not verify_k_factor(g, cert.edges, k):
         raise KflabError("internal error: constructed factor failed verification")
     return cert
 
 
-def _instance_degrees(n: int, instances) -> list[int]:
-    deg = [0] * n
-    for u, v in instances:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
 def verify_k_factor(g, F, k: int) -> bool:
-    """True iff F is a subset of g's edges giving every vertex exactly k.
+    """True iff F is a sub-multiset of g's edges giving every vertex k.
 
     Loops in a multigraph host are simply not usable by F (they would add
     2 to one vertex), so they do not block verification.
     """
+    if not isinstance(g, Graph):
+        return False
     try:
-        n, instances, _ = _host_instances(g, allow_loops=True)
+        f = Graph.from_pairs(g.n, F)
     except DomainError:
         return False
-    canon = [(min(int(u), int(v)), max(int(u), int(v))) for u, v in F]
-    if any(u == v for u, v in canon):
+    row = g.rows_of(f.edge_array)
+    if f.loops is not None or np.any(row < 0):
         return False
-    avail: dict[tuple[int, int], int] = {}
-    for u, v in instances:
-        key = (min(u, v), max(u, v))
-        avail[key] = avail.get(key, 0) + 1
-    for e in canon:
-        left = avail.get(e, 0)
-        if left == 0:
-            return False
-        avail[e] = left - 1
-    deg = _instance_degrees(n, canon) if n else []
-    return all(d == k for d in deg)
+    if f.mult is not None and np.any(f.mult > (1 if g.mult is None else g.mult[row])):
+        return False
+    return bool(np.all(f.degrees == k))
 
 
 # ------------------------------------------------------------ P1-P6 audits
@@ -595,10 +582,7 @@ def _p6_terms(k: int) -> tuple[float, float]:
 def _audit_exact(g: Graph, k, eps0, gamma) -> list[PropertyResult]:
     n = g.n
     deg = [int(d) for d in g.degrees]
-    adjmask = [0] * n
-    for u, v in g.edge_tuples():
-        adjmask[u] |= 1 << v
-        adjmask[v] |= 1 << u
+    adjmask = _adjmask(g)
     size = 1 << n
     e_in = [0] * size
     nbr = [0] * size

@@ -122,8 +122,10 @@ class _Blossom:
         queue = deque([root])
         while queue:
             v = queue.popleft()
+            # only a contraction moves v's base: look it up now and after one
+            v_base = self._get_base(v)
             for to in adj[v]:
-                if self._get_base(v) == self._get_base(to) or mate[v] == to:
+                if v_base == self._get_base(to) or mate[v] == to:
                     continue
                 if to == root or (mate[to] != -1 and self._get_p(mate[to]) != -1):
                     # to is outer: the edge closes an odd cycle (blossom)
@@ -142,6 +144,7 @@ class _Blossom:
                         if used_at[i] != stamp:
                             used_at[i] = stamp
                             queue.append(i)
+                    v_base = self._get_base(v)
                 elif self._get_p(to) == -1:
                     self._set_p(to, v)
                     if mate[to] == -1:
@@ -168,23 +171,23 @@ def maximum_matching(n: int, edges, seed_mate=None) -> np.ndarray:
     matched.
     Deterministic: no randomness, ties broken by vertex id.
     """
-    adj = Graph.from_pairs(n, edges).adjacency()
-    mate = [-1] * n
-    if seed_mate is not None:
-        if len(seed_mate) != n:
-            raise DomainError("seed_mate length must equal n")
-        for v in range(n):
-            w = int(seed_mate[v])
-            if w == -1:
-                continue
-            if not 0 <= w < n:
-                raise DomainError(f"seed_mate[{v}] = {w} is neither -1 nor a vertex")
-            if w == v or int(seed_mate[w]) != v:
-                raise DomainError("seed_mate is not a symmetric matching")
-            if v not in adj[w]:
-                raise DomainError("seed_mate uses a non-edge")
-            mate[v] = w
+    g = Graph.from_pairs(n, edges)
+    seed = np.asarray(np.full(n, -1) if seed_mate is None else seed_mate, dtype=np.int64)
+    if seed.shape != (n,):
+        raise DomainError("seed_mate length must equal n")
+    v = np.flatnonzero(seed != -1)
+    w = seed[v]
+    bad = v[(w < 0) | (w >= n)]
+    if len(bad):
+        raise DomainError(
+            f"seed_mate[{bad[0]}] = {seed[bad[0]]} is neither -1 nor a vertex")
+    if np.any(w == v) or np.any(seed[w] != v):
+        raise DomainError("seed_mate is not a symmetric matching")
+    if np.any(g.rows_of(np.column_stack([np.minimum(v, w), np.maximum(v, w)])) < 0):
+        raise DomainError("seed_mate uses a non-edge")
 
+    adj = g.adjacency()
+    mate = seed.tolist()
     engine = _Blossom(adj, mate)
     for root in range(n):
         if mate[root] == -1 and adj[root]:
@@ -198,4 +201,4 @@ def matched_pairs(mate) -> list[tuple[int, int]]:
 
 
 def perfect_matching_exists(mate) -> bool:
-    return len(mate) % 2 == 0 and all(int(w) >= 0 for w in mate)
+    return len(mate) % 2 == 0 and bool(np.all(np.asarray(mate) >= 0))

@@ -12,10 +12,12 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kflab import kfactor
 from kflab.analytics import c_k_threshold
 from kflab.errors import DomainError, InfeasibleError
 from kflab.graphs import Graph
@@ -24,6 +26,9 @@ from kflab.kfactor import (
     BRUTE_FORCE_CAP,
     FactorCertificate,
     TutteWitness,
+    _greedy_degree_saturation,
+    _host_instances,
+    _seed_mate,
     audit_properties,
     brute_force_tutte,
     find_k_factor,
@@ -33,6 +38,7 @@ from kflab.kfactor import (
     tutte_q,
     verify_k_factor,
 )
+from kflab.matching import maximum_matching
 from kflab.randgraph import gen_gnp
 from kflab.rng import make_rng
 
@@ -214,19 +220,21 @@ def test_gadget_counts_k4():
     gad = gadget_reduce(K4, 2)
     # 4 vertices, degree 3, k = 2: 3 externals + 1 slack each
     assert gad.n_nodes == 16
-    assert gad.base == (0, 4, 8, 12)
-    assert len(gad.pair_edges) == 6
-    assert len(gad.edges) == 18  # 6 pair + 4 * (3 externals x 1 slack)
-    assert gad.host_degrees == (3, 3, 3, 3)
+    assert np.array_equal(gad.base, [0, 4, 8, 12])
+    assert gad.pair_edges.shape == (6, 2)
+    assert gad.edges.shape == (18, 2)  # 6 pair + 4 * (3 externals x 1 slack)
+    assert np.array_equal(gad.host_degrees, [3, 3, 3, 3])
+    for arr in (gad.base, gad.pair_edges, gad.edges, gad.host_degrees):
+        assert arr.dtype == np.int64
 
 
 def test_gadget_zero_slack_cycle():
     gad = gadget_reduce(C4, 2)
     assert gad.n_nodes == 8
-    assert gad.base == (0, 2, 4, 6)
+    assert np.array_equal(gad.base, [0, 2, 4, 6])
     # degree == k leaves no slack nodes: gadget is exactly the pair edges
-    assert gad.edges == gad.pair_edges
-    assert len(gad.edges) == 4
+    assert np.array_equal(gad.edges, gad.pair_edges)
+    assert gad.edges.shape == (4, 2)
 
 
 def test_gadget_errors():
@@ -236,6 +244,117 @@ def test_gadget_errors():
         gadget_reduce(Graph.from_pairs(1, [(0, 0)]), 1)
     with pytest.raises(DomainError):
         gadget_reduce(C4, 0)
+
+
+def reference_gadget(g, k):
+    """The gadget built one edge end at a time: (n_nodes, base, degrees,
+    pair_edges, edges), all plain lists."""
+    rows = g.edge_array if g.mult is None else np.repeat(g.edge_array, g.mult, axis=0)
+    deg = g.degrees.tolist()
+    base = [0] * g.n
+    off = 0
+    for v in range(g.n):
+        base[v] = off
+        off += 2 * deg[v] - k  # d(v) externals + d(v) - k slacks
+    pair_edges = []
+    cursor = [0] * g.n
+    for u, v in rows.tolist():
+        pair_edges.append([base[u] + cursor[u], base[v] + cursor[v]])
+        cursor[u] += 1
+        cursor[v] += 1
+    edges = list(pair_edges)
+    for v in range(g.n):
+        d = deg[v]
+        for ei in range(d):
+            for si in range(d - k):
+                edges.append([base[v] + ei, base[v] + d + si])
+    return off, base, deg, pair_edges, edges
+
+
+def reference_seed_mate(n_nodes, base, deg, k, pair_edges, chosen):
+    """Chosen pairs matched, then each vertex's first d(v) - k free
+    externals matched to its slacks in order, one node at a time."""
+    mate = [-1] * n_nodes
+    for j, (eu, ev) in enumerate(pair_edges):
+        if chosen[j]:
+            mate[eu] = ev
+            mate[ev] = eu
+    for v in range(len(base)):
+        b, d = base[v], deg[v]
+        free_exts = [b + i for i in range(d) if mate[b + i] == -1]
+        for offset, ext in enumerate(free_exts[: d - k]):
+            mate[ext] = b + d + offset
+            mate[b + d + offset] = ext
+    return mate
+
+
+def gadget_hosts():
+    """(k, host) pairs: seeded k-cores and multigraphs with parallel edges."""
+    for s in range(6):
+        yield 4, k_core(gen_gnp(600, c_k_threshold(4)[0] + 0.2, s), 4).core
+    for s in range(4):
+        yield 5, k_core(gen_gnp(300, c_k_threshold(5)[0] + 1.5, s), 5).core
+    rng = make_rng(12)
+    for i in range(8):
+        k = 2 + i % 3
+        n = int(rng.integers(3, 40))
+        # k // 2 + 1 random Hamilton cycles give every vertex degree > k
+        cycles = [rng.permutation(n) for _ in range(k // 2 + 1)]
+        pairs = np.concatenate([np.column_stack([c, np.roll(c, 1)]) for c in cycles])
+        g = Graph.from_pairs(n, np.concatenate([pairs, pairs[: 1 + i]]))
+        assert g.mult is not None and g.loops is None
+        yield k, g
+
+
+def test_gadget_matches_reference_construction():
+    for k, g in gadget_hosts():
+        n_nodes, base, deg, pair_edges, edges = reference_gadget(g, k)
+        gad = gadget_reduce(g, k)
+        assert (gad.n_host, gad.k, gad.n_nodes) == (g.n, k, n_nodes)
+        assert gad.base.tolist() == base
+        assert gad.host_degrees.tolist() == deg
+        assert gad.pair_edges.tolist() == pair_edges
+        assert sorted(gad.edges.tolist()) == sorted(edges)
+        rng = make_rng(g.n)
+        m = len(pair_edges)
+        greedy = _greedy_degree_saturation(g.n, _host_instances(g), k)
+        for chosen in (greedy, [False] * m, (rng.random(m) < 0.2).tolist()):
+            want = reference_seed_mate(n_nodes, base, deg, k, pair_edges, chosen)
+            assert _seed_mate(gad, chosen).tolist() == want
+
+
+# sha256 of the int64 bytes of the seed mate find_k_factor hands to
+# maximum_matching followed by the mate it gets back, on 4-cores of
+# G(600, (c_4 + 0.2)/n) by gen_gnp seed; recorded before the gadget route
+# moved to arrays, so both mates are pinned to the loop-based build.
+GOLDEN_MATES = [
+    (3, False, "638f49fa884640cfecf2fb2c17761ead9214d1ba770bfb41464872152d1a0cc5"),
+    (5, False, "f70cb4fd017a2352c70578e3f74f6b80945357cf770b586d2c98feb1414b4a33"),
+    (8, True, "fededb3c9e71b60bd31fc8b9d52aacf04f9ea27cd7ce16b826f0bc13496fdcb3"),
+    (13, False, "ec87b4cf729c830f5bef0bded7844ed9a4d99446960d59ee4f981e3d578083b5"),
+    (21, False, "b467bdca1d59ae6d4d975c32abd20c855df6d6910927d0205cd2514868d4327a"),
+    (34, False, "a3d81a856b6c70bd6801d57a882ffe1c59b62249bee2048cd9c8fe95491e2534"),
+    (55, False, "6bf0b839b291743b0c2e353c1b8dc386aaaf9aa9f40685da1c44f6fee768b619"),
+    (236, True, "d56638bfd587c0d7ab64c8e2c8d9fe6ad6f9f1a72c2d088e5881a0fdf3a066b0"),
+]
+
+
+def test_factor_golden_mates(monkeypatch):
+    calls = []
+
+    def spy(n, edges, seed_mate=None):
+        mate = maximum_matching(n, edges, seed_mate=seed_mate)
+        calls.append(np.asarray(seed_mate, dtype=np.int64).tobytes()
+                     + np.asarray(mate, dtype=np.int64).tobytes())
+        return mate
+
+    monkeypatch.setattr(kfactor, "maximum_matching", spy)
+    for seed, found, digest in GOLDEN_MATES:
+        core = k_core(gen_gnp(600, c_k_threshold(4)[0] + 0.2, seed), 4).core
+        calls.clear()
+        assert (find_k_factor(core, 4) is not None) == found, seed
+        assert len(calls) == 1
+        assert hashlib.sha256(calls[0]).hexdigest() == digest, seed
 
 
 def count_perfect_matchings(n, edges):
@@ -387,6 +506,21 @@ def test_verify_accepts_and_rejects():
     # wrong k
     assert not verify_k_factor(C4, [(0, 1), (1, 2), (2, 3), (3, 0)], 1)
     assert verify_k_factor(Graph(0, []), [], 3)
+    # F as an (m, 2) int64 array
+    cycle = np.array([(0, 1), (1, 2), (2, 3), (3, 0)], dtype=np.int64)
+    assert verify_k_factor(C4, cycle, 2)
+    assert verify_k_factor(C4, cycle[:, ::-1], 2)
+    assert not verify_k_factor(C4, cycle[:3], 2)
+    assert verify_k_factor(C4, np.empty((0, 2), dtype=np.int64), 0)
+    # endpoints out of range and malformed rows are rejected, not raised
+    assert not verify_k_factor(C4, [(0, 1), (1, 2), (2, 3), (3, 4)], 2)
+    assert not verify_k_factor(C4, [(-1, 0), (1, 2), (2, 3), (3, 0)], 2)
+    assert not verify_k_factor(C4, [(0, 1, 2)], 2)
+    # a host that is not a Graph
+    assert not verify_k_factor([(0, 1), (1, 2), (2, 3), (3, 0)], cycle, 2)
+    assert not verify_k_factor(None, [], 2)
+    # no vertices but a non-empty F
+    assert not verify_k_factor(Graph(0, []), [(0, 1)], 3)
 
 
 def test_verify_multigraph_multiplicity():
@@ -397,6 +531,17 @@ def test_verify_multigraph_multiplicity():
     loopy = Graph.from_pairs(2, [(0, 1), (0, 0)])
     assert verify_k_factor(loopy, [(0, 1)], 1)
     assert not verify_k_factor(loopy, [(0, 0)], 1)
+    # F as an (m, 2) int64 array, the parallel pair in either orientation
+    assert verify_k_factor(mg, np.array([[0, 1], [1, 0]], dtype=np.int64), 2)
+    assert not verify_k_factor(mg, np.array([[0, 1]] * 3, dtype=np.int64), 3)
+    # every degree right, but (2, 3) used twice where the host has it once
+    two = Graph.from_pairs(4, [(0, 1), (0, 1), (2, 3)])
+    assert not verify_k_factor(two, [(0, 1), (1, 0), (2, 3), (3, 2)], 2)
+    assert verify_k_factor(two, [(0, 1), (2, 3)], 1)
+    # out of range, a non-Graph host and n = 0 with a non-empty F
+    assert not verify_k_factor(mg, [(0, 1), (0, 2)], 2)
+    assert not verify_k_factor([(0, 1), (0, 1)], [(0, 1), (0, 1)], 2)
+    assert not verify_k_factor(Graph.from_pairs(0, []), [(0, 0)], 2)
 
 
 # ---------------------------------------------------- route agreement

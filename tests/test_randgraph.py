@@ -253,6 +253,15 @@ def test_multigraph_from_pairs():
         Graph(2, [(1, 1)])
 
 
+def test_rows_of():
+    mg = Graph.from_pairs(5, [(3, 4), (0, 1), (1, 0), (1, 3), (2, 2)])
+    assert mg.edge_array.tolist() == [[0, 1], [1, 3], [3, 4]]
+    pairs = np.array([[1, 3], [0, 1], [3, 4], [0, 2], [2, 2], [4, 4], [0, 0]])
+    assert mg.rows_of(pairs).tolist() == [1, 0, 2, -1, -1, -1, -1]
+    assert mg.rows_of(np.empty((0, 2), dtype=np.int64)).tolist() == []
+    assert Graph(3, []).rows_of(np.array([[0, 1]])).tolist() == [-1]
+
+
 def lexsort_adjacency(g: Graph) -> tuple[list, list]:
     """adjacency() and adjacency_mult() rebuilt by a lexsort of both
     orientations of every edge row."""
