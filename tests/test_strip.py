@@ -7,6 +7,7 @@ from-scratch invariant checker.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from kflab.analytics import c_k_threshold
 from kflab.errors import DomainError
 from kflab.graphs import Graph
 from kflab.kcore import k_core
-from kflab.randgraph import R, W0, W1, gen_gnp
+from kflab.randgraph import (
+    R,
+    W0,
+    W1,
+    gen_gnp,
+    sample_configuration,
+    to_multigraph,
+)
 from kflab.rng import spawn_seed
 from kflab.strip import (
     StripResult,
@@ -262,6 +270,102 @@ def test_strip_output_subgraph_property(seed, k):
     assert res.iterations + res.K.n == core.n
 
 
+# ------------------------------------------------------------- golden traces
+
+def golden_cases():
+    """Seeded k-cores of G(n, (c_k+0.5)/n) and configuration multigraphs on
+    their degree sequences, each stripped with beta 0.1 (halts at
+    cap_reached) and 1.0 (halts at Q_empty)."""
+    for k in (3, 4, 5, 6):
+        for n in (300, 3000, 20000):
+            seed = spawn_seed(8, "golden", k, n)
+            core = k_core(gen_gnp(n, c_k_threshold(k)[0] + 0.5, seed), k).core
+            multi = to_multigraph(
+                sample_configuration(core.degrees, spawn_seed(seed, "config"))
+            )
+            for mode, host in (("simple", core), ("multigraph", multi)):
+                for beta in (0.1, 1.0):
+                    yield f"k{k}-n{n}-{mode}-b{beta}", host, k, n, beta
+
+
+def strip_digest(res) -> str:
+    """sha256 over the trace CSV, K's edge rows, multiplicities and loops,
+    the kept ids and the halt reason."""
+    h = hashlib.sha256()
+    for part in (
+        res.trace.to_csv().encode(),
+        res.K.edge_array.tobytes(),
+        b"-" if res.K.mult is None else res.K.mult.tobytes(),
+        b"-" if res.K.loops is None else res.K.loops.tobytes(),
+        res.kept.tobytes(),
+        res.halted_reason.encode(),
+    ):
+        h.update(hashlib.sha256(part).digest())
+    return h.hexdigest()[:16]
+
+
+GOLDEN_STRIP_DIGESTS = {
+    "k3-n300-simple-b0.1": "5fdc147c0fdf8888",
+    "k3-n300-simple-b1.0": "ba344a736fdf0ba7",
+    "k3-n300-multigraph-b0.1": "a188eae3392f2f10",
+    "k3-n300-multigraph-b1.0": "3edff374e6ef13eb",
+    "k3-n3000-simple-b0.1": "619b516fa8fdea47",
+    "k3-n3000-simple-b1.0": "98355784e791e589",
+    "k3-n3000-multigraph-b0.1": "3b19eff13fe44098",
+    "k3-n3000-multigraph-b1.0": "b1add589b73300c1",
+    "k3-n20000-simple-b0.1": "9204d71f85d7076d",
+    "k3-n20000-simple-b1.0": "cdcf1bcd30d3bf83",
+    "k3-n20000-multigraph-b0.1": "e7fe262cb0e6b5e1",
+    "k3-n20000-multigraph-b1.0": "3d7c921878072ad6",
+    "k4-n300-simple-b0.1": "2d0dce6317a5ed41",
+    "k4-n300-simple-b1.0": "cd99503cae202068",
+    "k4-n300-multigraph-b0.1": "fd30382790617069",
+    "k4-n300-multigraph-b1.0": "ece27572c2b8e9be",
+    "k4-n3000-simple-b0.1": "911f39e1414209db",
+    "k4-n3000-simple-b1.0": "d5b7de0cfd987bd4",
+    "k4-n3000-multigraph-b0.1": "3b0456ba709aea3a",
+    "k4-n3000-multigraph-b1.0": "854a29b1e5d54a14",
+    "k4-n20000-simple-b0.1": "9104ac4d32fb35a0",
+    "k4-n20000-simple-b1.0": "1b7e59d955838801",
+    "k4-n20000-multigraph-b0.1": "079d61fe72434d94",
+    "k4-n20000-multigraph-b1.0": "3bf55dbb7e9f0e21",
+    "k5-n300-simple-b0.1": "3e627f2f4cec6914",
+    "k5-n300-simple-b1.0": "41df527721e6a04f",
+    "k5-n300-multigraph-b0.1": "cd2ffad22e99ff35",
+    "k5-n300-multigraph-b1.0": "36683b72cf9f8163",
+    "k5-n3000-simple-b0.1": "d96b9a77ce528353",
+    "k5-n3000-simple-b1.0": "a5338807c19818b7",
+    "k5-n3000-multigraph-b0.1": "a5da6ce190563dc3",
+    "k5-n3000-multigraph-b1.0": "904ba7a73b49d95e",
+    "k5-n20000-simple-b0.1": "1f34f81958aefcb3",
+    "k5-n20000-simple-b1.0": "e9c22da6df426a33",
+    "k5-n20000-multigraph-b0.1": "99e1d25439628358",
+    "k5-n20000-multigraph-b1.0": "6e3bbfc341ea1b9b",
+    "k6-n300-simple-b0.1": "53c44a01fac00fb1",
+    "k6-n300-simple-b1.0": "ccb7c8647063b548",
+    "k6-n300-multigraph-b0.1": "1583a3447a673183",
+    "k6-n300-multigraph-b1.0": "ec84e1011878a344",
+    "k6-n3000-simple-b0.1": "adfbe1d0b72634bb",
+    "k6-n3000-simple-b1.0": "7a0dbb545826fe6a",
+    "k6-n3000-multigraph-b0.1": "53e6d514b3a4c554",
+    "k6-n3000-multigraph-b1.0": "703fdc2fb3eb547a",
+    "k6-n20000-simple-b0.1": "dd79c3178575f365",
+    "k6-n20000-simple-b1.0": "51c4ec4ceb46f8cb",
+    "k6-n20000-multigraph-b0.1": "5c4ad2e60cc36f91",
+    "k6-n20000-multigraph-b1.0": "b111d4816c5b278f",
+}
+
+
+def test_golden_strip_traces():
+    digests, reasons = {}, set()
+    for name, host, k, n, beta in golden_cases():
+        res = run_strip(host, k, beta_override=beta, ambient_n=n)
+        digests[name] = strip_digest(res)
+        reasons.add(res.halted_reason)
+    assert reasons == {"Q_empty", "cap_reached"}
+    assert digests == GOLDEN_STRIP_DIGESTS
+
+
 # ------------------------------------------------------------ multigraph mode
 
 def hand_multigraph():
@@ -296,8 +400,6 @@ def test_multigraph_loop_counts_toward_own_w0_degree():
 
 
 def test_multigraph_stepwise_invariants():
-    from kflab.randgraph import sample_configuration, to_multigraph
-
     ran = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -371,8 +473,6 @@ def test_enforce_parity_failure_case():
 def test_enforce_parity_matches_vertex_scan():
     # reference: the least-id vertex of degree > k whose neighbors all have
     # degree > k, found by scanning vertices in order
-    from kflab.randgraph import sample_configuration, to_multigraph
-
     outcomes = set()
     for seed in range(60):
         k = 2 + seed % 3
