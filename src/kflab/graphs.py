@@ -116,8 +116,9 @@ class Graph:
             self._degrees = deg
         return self._degrees
 
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(xadj, neighbor ids, multiplicities or None), built once."""
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(xadj, neighbor ids, multiplicities or None when every edge is
+        single), built once; each vertex's neighbors are ascending."""
         if self._xadj is None:
             e = self.edge_array
             src = np.concatenate([e[:, 0], e[:, 1]])
@@ -133,26 +134,21 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted distinct neighbor ids of v (a view into the CSR arrays)."""
-        xadj, adjv, _ = self._csr()
+        xadj, adjv, _ = self.csr()
         return adjv[xadj[v] : xadj[v + 1]]
 
     def neighbors_of(self, vs: np.ndarray) -> np.ndarray:
         """neighbors(v) of every v in the id array vs, concatenated."""
-        xadj, adjv, _ = self._csr()
+        xadj, adjv, _ = self.csr()
         counts = xadj[vs + 1] - xadj[vs]
         offset = xadj[vs] - (np.cumsum(counts) - counts)
         return adjv[np.repeat(offset, counts) + np.arange(counts.sum())]
 
     def adjacency(self) -> list[list[int]]:
         """neighbors(v) of every vertex, as Python lists."""
-        xadj, adjv, _ = self._csr()
-        return _split_rows(xadj, adjv)
-
-    def adjacency_mult(self) -> list[list[int]]:
-        """Edge multiplicities aligned with adjacency(): entry [v][i] is the
-        number of edges between v and adjacency()[v][i]."""
-        xadj, adjv, adjm = self._csr()
-        return _split_rows(xadj, np.ones_like(adjv) if adjm is None else adjm)
+        xadj, adjv, _ = self.csr()
+        bounds, values = xadj.tolist(), adjv.tolist()
+        return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     def neighbors_in(self, mask: np.ndarray, weights=None) -> np.ndarray:
         """Per-vertex count of neighbors inside the boolean mask, each edge
@@ -216,13 +212,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def _split_rows(xadj: np.ndarray, flat: np.ndarray) -> list[list[int]]:
-    """The CSR rows flat[xadj[v]:xadj[v+1]] as Python lists."""
-    bounds = xadj.tolist()
-    values = flat.tolist()
-    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def format_edge_text(g: Graph) -> str:

@@ -22,6 +22,10 @@ edges count with multiplicity in degrees and in the D2 threshold, while the
 W1-neighbor counts of D4/D5 are over distinct vertices.  The remainder K
 keeps the multiplicities and loops of its part of the input.
 
+The deletion loop runs on Python lists of ints (layout in StripState);
+numpy builds them, seeding the D1/D2 queue and its potential in one masked
+pass, and serves _finalize and the from-scratch checker.
+
 Debug runs assert the three queue-closure properties (a W1 vertex, and a
 queued R vertex, has no unqueued W1 neighbor; an unqueued R vertex has at
 most one W1 neighbor) after every deletion, recomputed from scratch on
@@ -132,7 +136,14 @@ class StripResult:
 
 
 class StripState:
-    """Mutable engine state; single-owner, stepped by strip_step."""
+    """Mutable engine state; single-owner, stepped by strip_step.
+
+    The per-vertex fields (deg, deg_w0, class_of, alive, w1n, rqn,
+    deletable, in_q) are Python lists, and the host's CSR is kept as three
+    flat lists: xadj, nbr (neighbor ids) and nmult (their multiplicities,
+    all ones on a simple host).  numpy is used only to build them, in
+    _finalize and in check_state_invariants.
+    """
 
     def __init__(
         self,
@@ -148,16 +159,13 @@ class StripState:
         if not isinstance(core, Graph):
             raise DomainError(f"core must be a Graph, got {type(core)!r}")
         n = core.n
-        self.core = core
-        self.adj = core.adjacency()
-        self.amult = core.adjacency_mult()
-        self.loops = np.zeros(n, dtype=np.int64) if core.loops is None else core.loops
-        deg = core.degrees.copy()
+        deg = core.degrees
         if n and int(deg.min()) < k:
             raise DomainError(
                 f"strip requires minimum degree >= k={k}, found {int(deg.min())}"
             )
 
+        self.core = core
         self.k = k
         self.n = n
         self.ambient_n = int(ambient_n) if ambient_n is not None else n
@@ -169,97 +177,96 @@ class StripState:
         self.k7b = float(k) ** 7 * self.beta_eff
         scale = 1.0 if cap_multiplier is None else cap_multiplier
         self.cap = int(math.ceil(scale * self.beta_eff * self.ambient_n))
-
-        self.alive = np.ones(n, dtype=bool)
-        self.deg = deg
-        self.class_of = np.where(deg == k, W0, R).astype(np.int8)
-        self.deg_w0 = self._initial_deg_w0()
-        self.w1n = np.zeros(n, dtype=np.int64)  # distinct live W1 neighbors
-        self.rqn = np.zeros(n, dtype=np.int64)  # distinct live R-in-Q neighbors
-        self.deletable = np.zeros(n, dtype=bool)
-        self.in_q = np.zeros(n, dtype=bool)
-        self.heap: list[int] = []
-        self.n_w0 = int(np.sum(self.class_of == W0))
-        self.n_w1 = 0
-        self.n_r = n - self.n_w0
-        self.A = 0
-        self.B = 0
-        self.D = 0
-        self.iteration = 0
-        self.trace_rows: list[TraceRow] = []
-
         self.debug = debug
 
-        # D1 and D2 over the initial core; W1 is empty so no other rule fires
-        d1 = deg > 2 * k
-        d2 = (self.class_of != W0) & (2 * self.deg_w0 >= k)
-        new = np.flatnonzero(d1 | d2)
-        for v in new.tolist():
-            self._enqueue(v)
-        self._log_row(deleted=-1, enqueued=len(new))
+        xadj, adjv, adjm = core.csr()
+        self.xadj = xadj.tolist()
+        self.nbr = adjv.tolist()
+        self.nmult = [1] * len(self.nbr) if adjm is None else adjm.tolist()
+
+        # edge ends from each vertex into W0, a loop inside W0 counting 2
+        w0 = deg == k
+        deg_w0 = core.neighbors_in(w0, core.mult)
+        if core.loops is not None:
+            deg_w0 += 2 * core.loops * w0
+        # D1 and D2 over the initial core; W1 is empty so no other rule
+        # fires.  Ascending ids already form a heap.
+        q = (deg > 2 * k) | (~w0 & (2 * deg_w0 >= k))
+        self.heap: list[int] = np.flatnonzero(q).tolist()
+        self.A = int(deg_w0[q & w0].sum())
+        self.B = int(deg_w0[q & ~w0].sum())
+        self.D = int((deg - deg_w0)[q].sum())
+        self.n_w0 = int(w0.sum())
+        self.n_w1 = 0
+        self.n_r = n - self.n_w0
+
+        self.deg = deg.tolist()
+        self.deg_w0 = deg_w0.tolist()
+        self.class_of = np.where(w0, W0, R).tolist()
+        self.alive = [True] * n
+        # distinct live W1 and R-in-Q neighbors; at init R is the non-W0 part
+        self.w1n = [0] * n
+        self.rqn = core.neighbors_in(q & ~w0).tolist()
+        self.deletable = q.tolist()
+        self.in_q = q.tolist()
+        self.iteration = 0
+        self.trace_rows: list[TraceRow] = []
+        self.trace_rows.append(self._row(deleted=-1, enqueued=len(self.heap)))
 
     # ------------------------------------------------------------- internals
 
-    def _initial_deg_w0(self) -> np.ndarray:
-        """Edge ends from each vertex into W0, a loop inside W0 counting 2."""
-        w0 = self.class_of == W0
-        return self.core.neighbors_in(w0, self.core.mult) + 2 * self.loops * w0
-
-    def _live_neighbors(self, v: int):
+    def _live_neighbors(self, v: int) -> list[tuple[int, int]]:
         """(neighbor, multiplicity) over live distinct neighbors of v."""
+        a, b = self.xadj[v], self.xadj[v + 1]
+        alive = self.alive
         return [
-            (u, m) for u, m in zip(self.adj[v], self.amult[v]) if self.alive[u]
+            (u, m) for u, m in zip(self.nbr[a:b], self.nmult[a:b]) if alive[u]
         ]
 
-    def _enqueue(self, v: int) -> None:
-        self.deletable[v] = True
+    def _enqueue(self, v: int) -> list[tuple[int, int]]:
+        """Queue v, already flagged deletable; returns its live neighbors
+        if v is in R (each gained an R-in-Q neighbor), else []."""
         self.in_q[v] = True
         heapq.heappush(self.heap, v)
-        if self.class_of[v] == W0:
-            self.A += int(self.deg_w0[v])
+        cls = self.class_of[v]
+        if cls == W0:
+            self.A += self.deg_w0[v]
         else:
-            self.B += int(self.deg_w0[v])
-        self.D += int(self.deg[v] - self.deg_w0[v])
-        if self.class_of[v] == R:
-            for u, _ in self._live_neighbors(v):
-                self.rqn[u] += 1
+            self.B += self.deg_w0[v]
+        self.D += self.deg[v] - self.deg_w0[v]
+        if cls != R:
+            return []
+        neighbors = self._live_neighbors(v)
+        for u, _ in neighbors:
+            self.rqn[u] += 1
+        return neighbors
 
-    def _move_to_w1(self, u: int) -> None:
+    def _move_to_w1(self, u: int) -> list[tuple[int, int]]:
+        """Move u from R to W1; returns its live neighbors."""
         self.class_of[u] = W1
         self.n_r -= 1
         self.n_w1 += 1
-        queued = bool(self.in_q[u])
-        for z, _ in self._live_neighbors(u):
+        queued = self.in_q[u]
+        neighbors = self._live_neighbors(u)
+        for z, _ in neighbors:
             self.w1n[z] += 1
             if queued:
                 self.rqn[z] -= 1
+        return neighbors
 
-    def _log_row(self, deleted: int, enqueued: int) -> None:
+    def _row(self, deleted: int, enqueued: int) -> TraceRow:
         # queued vertices leave the heap only when deleted, so the heap
         # length is exactly |Q|
         x = self.A + self.k * self.B + self.k7b * self.D
-        self.trace_rows.append(
-            TraceRow(
-                iteration=self.iteration,
-                deleted=deleted,
-                q_size=len(self.heap),
-                w0=self.n_w0,
-                w1=self.n_w1,
-                r=self.n_r,
-                a=self.A,
-                b=self.B,
-                d=self.D,
-                x=x,
-                enqueued=enqueued,
-            )
-        )
+        return TraceRow(self.iteration, deleted, len(self.heap), self.n_w0,
+                        self.n_w1, self.n_r, self.A, self.B, self.D, x, enqueued)
 
     @property
     def q_empty(self) -> bool:
         return not self.heap
 
     def queue_ids(self) -> list[int]:
-        return sorted(v for v in np.flatnonzero(self.in_q).tolist())
+        return [v for v, queued in enumerate(self.in_q) if queued]
 
 
 def strip_init(
@@ -292,98 +299,98 @@ def strip_step(state: StripState) -> TraceRow:
     if s.debug and s.iteration % (1 if s.n <= 2000 else 200) == 0:
         check_state_invariants(s)
     if not s.heap:
-        return TraceRow(
-            s.iteration, -1, 0, s.n_w0, s.n_w1, s.n_r, s.A, s.B, s.D,
-            s.A + s.k * s.B + s.k7b * s.D, 0,
-        )
+        return s._row(deleted=-1, enqueued=0)
     v = heapq.heappop(s.heap)
     s.iteration += 1
-    v_cls = int(s.class_of[v])
+    k, deg, deg_w0, class_of = s.k, s.deg, s.deg_w0, s.class_of
+    in_q, deletable, w1n, rqn = s.in_q, s.deletable, s.w1n, s.rqn
+    v_cls = class_of[v]
     neighbors = s._live_neighbors(v)
 
     # 2a: remove v from the graph and the queue, with its potential share
     s.alive[v] = False
-    s.in_q[v] = False
+    in_q[v] = False
     if v_cls == W0:
-        s.A -= int(s.deg_w0[v])
+        s.A -= deg_w0[v]
         s.n_w0 -= 1
     else:
-        s.B -= int(s.deg_w0[v])
+        s.B -= deg_w0[v]
         if v_cls == W1:
             s.n_w1 -= 1
         else:
             s.n_r -= 1
-    s.D -= int(s.deg[v] - s.deg_w0[v])
+    s.D -= deg[v] - deg_w0[v]
 
     for u, m in neighbors:
-        s.deg[u] -= m
+        deg[u] -= m
         if v_cls == W0:
-            s.deg_w0[u] -= m
-            if s.in_q[u]:
-                if s.class_of[u] == W0:
+            deg_w0[u] -= m
+            if in_q[u]:
+                if class_of[u] == W0:
                     s.A -= m
                 else:
                     s.B -= m
-        elif s.in_q[u]:
+        elif in_q[u]:
             s.D -= m
     if v_cls == W1:
         for u, _ in neighbors:
-            s.w1n[u] -= 1
+            w1n[u] -= 1
     elif v_cls == R:  # v was queued, so neighbors lose an R-in-queue neighbor
         for u, _ in neighbors:
-            s.rqn[u] -= 1
+            rqn[u] -= 1
 
-    # 2b: R neighbors whose degree fell to at most k move to W1
-    movers = [u for u, _ in neighbors if s.class_of[u] == R and s.deg[u] <= s.k]
-    for u in movers:
-        s._move_to_w1(u)
+    # 2b: R neighbors whose degree fell to at most k move to W1, each with
+    # its live neighborhood, walked once
+    moved = [
+        (u, s._move_to_w1(u))
+        for u, _ in neighbors
+        if class_of[u] == R and deg[u] <= k
+    ]
 
     # 2c phase 1: D3 on the touched neighborhood, D5 on movers, D4/D5 around
-    # movers; all conditions read the post-move state
+    # movers; all conditions read the post-move state, and a vertex is
+    # flagged deletable (sticky) as it is found
     flagged: list[int] = []
-    seen = set()
 
-    def consider(w: int, condition: bool) -> None:
-        if condition and not s.deletable[w] and w not in seen:
-            seen.add(w)
+    def flag(w: int) -> None:
+        if not deletable[w]:
+            deletable[w] = True
             flagged.append(w)
 
     for u, _ in neighbors:
-        consider(u, s.deg[u] < s.k)
-    for u in movers:
-        consider(u, s.w1n[u] >= 1 or s.rqn[u] >= 1)
-        for z, _ in s._live_neighbors(u):
-            cls = s.class_of[z]
-            if cls == W1:
-                consider(z, True)  # z gained the W1 neighbor u
-            elif cls == R:
-                consider(z, s.w1n[z] >= 2)
-    for w in flagged:
-        s._enqueue(w)
+        if deg[u] < k:
+            flag(u)
+    for u, u_neighbors in moved:
+        if w1n[u] >= 1 or rqn[u] >= 1:
+            flag(u)
+        for z, _ in u_neighbors:
+            cls = class_of[z]  # D5: a W1 z gained the W1 neighbor u; or D4
+            if cls == W1 or (cls == R and w1n[z] >= 2):
+                flag(z)
 
-    # 2c phase 2: W1 neighbors of R vertices that just became deletable
+    # 2c phase 2: W1 neighbors of R vertices that just became deletable,
+    # found on the neighborhood that enqueueing an R vertex walks
     cascade: list[int] = []
     for z in flagged:
-        if s.class_of[z] == R:
-            for w, _ in s._live_neighbors(z):
-                if s.class_of[w] == W1 and not s.deletable[w] and w not in seen:
-                    seen.add(w)
-                    cascade.append(w)
+        for w, _ in s._enqueue(z):
+            if class_of[w] == W1 and not deletable[w]:
+                deletable[w] = True
+                cascade.append(w)
     for w in cascade:
         s._enqueue(w)
 
     enqueued = len(flagged) + len(cascade)
     if s.debug:
-        assert enqueued <= 4 * s.k * s.k, (
+        assert enqueued <= 4 * k * k, (
             f"iteration {s.iteration}: {enqueued} enqueues exceed 4k^2"
         )
         # deleting v, moving movers to W1 and enqueueing can break closure
         # only at these vertices; enqueueing never breaks it at a neighbor
         touched = [u for u, _ in neighbors] + flagged + cascade
-        for u in movers:
-            touched.extend(z for z, _ in s._live_neighbors(u))
+        for _, u_neighbors in moved:
+            touched.extend(z for z, _ in u_neighbors)
         _check_closure(s, set(touched))
-    s._log_row(deleted=v, enqueued=enqueued)
+    s.trace_rows.append(s._row(deleted=v, enqueued=enqueued))
     return s.trace_rows[-1]
 
 
@@ -487,6 +494,7 @@ def check_state_invariants(state: StripState) -> None:
     """From-scratch recomputation of every maintained quantity; raises on
     any mismatch.  Cost O(n + m); used by debug runs and tests."""
     s = state
+    loops = [0] * s.n if s.core.loops is None else s.core.loops.tolist()
     deg = np.zeros(s.n, dtype=np.int64)
     deg_w0 = np.zeros(s.n, dtype=np.int64)
     w1n = np.zeros(s.n, dtype=np.int64)
@@ -494,9 +502,9 @@ def check_state_invariants(state: StripState) -> None:
     for v in range(s.n):
         if not s.alive[v]:
             continue
-        deg[v] += 2 * s.loops[v]
+        deg[v] += 2 * loops[v]
         if s.class_of[v] == W0:
-            deg_w0[v] += 2 * s.loops[v]
+            deg_w0[v] += 2 * loops[v]
         for u, m in s._live_neighbors(v):
             deg[v] += m
             if s.class_of[u] == W0:
@@ -505,19 +513,22 @@ def check_state_invariants(state: StripState) -> None:
                 w1n[v] += 1
             if s.class_of[u] == R and s.in_q[u]:
                 rqn[v] += 1
-    live = s.alive
-    assert np.array_equal(deg[live], s.deg[live]), "degree bookkeeping drifted"
-    assert np.array_equal(deg_w0[live], s.deg_w0[live]), "deg_w0 bookkeeping drifted"
-    assert np.array_equal(w1n[live], s.w1n[live]), "W1-neighbor counts drifted"
-    assert np.array_equal(rqn[live], s.rqn[live]), "R-in-Q neighbor counts drifted"
+    live = np.array(s.alive, dtype=bool)
+    for scratch, tracked, what in (
+        (deg, s.deg, "degree bookkeeping"),
+        (deg_w0, s.deg_w0, "deg_w0 bookkeeping"),
+        (w1n, s.w1n, "W1-neighbor counts"),
+        (rqn, s.rqn, "R-in-Q neighbor counts"),
+    ):
+        assert np.array_equal(scratch[live], np.array(tracked)[live]), f"{what} drifted"
 
-    cls = s.class_of
+    cls = np.array(s.class_of)
     assert np.all((cls[live] == R) == (deg[live] > s.k)), "R must be exactly degree > k"
     assert s.n_w0 == int(np.sum(live & (cls == W0)))
     assert s.n_w1 == int(np.sum(live & (cls == W1)))
     assert s.n_r == int(np.sum(live & (cls == R)))
 
-    q = live & s.in_q
+    q = live & np.array(s.in_q, dtype=bool)
     A = int(np.sum(deg_w0[q & (cls == W0)]))
     B = int(np.sum(deg_w0[q & (cls != W0)]))
     D = int(np.sum((deg - deg_w0)[q]))

@@ -224,7 +224,7 @@ def test_multigraph_from_pairs():
     assert mg.loops.tolist() == [0, 0, 2, 0]
     assert mg.degrees.tolist() == [2, 3, 4, 1]
     assert mg.adjacency() == [[1], [0, 3], [], [1]]
-    assert mg.adjacency_mult() == [[2], [2, 1], [], [1]]
+    assert mg.csr()[2].tolist() == [2, 2, 1, 1]  # aligned with adjacency()
     assert not mg.is_simple()
     with pytest.raises(DomainError):
         format_edge_text(mg)  # the text format has no multiplicities
@@ -263,8 +263,8 @@ def test_rows_of():
 
 
 def lexsort_adjacency(g: Graph) -> tuple[list, list]:
-    """adjacency() and adjacency_mult() rebuilt by a lexsort of both
-    orientations of every edge row."""
+    """adjacency() and the per-row multiplicities of the CSR rebuilt by a
+    lexsort of both orientations of every edge row."""
     e = g.edge_array
     mult = np.ones(g.m, dtype=np.int64) if g.mult is None else g.mult
     src = np.concatenate([e[:, 0], e[:, 1]])
@@ -292,7 +292,11 @@ def test_csr_order_matches_lexsort_reference():
     for g in graphs:
         adj, amult = lexsort_adjacency(g)
         assert g.adjacency() == adj
-        assert g.adjacency_mult() == amult
+        adjm = g.csr()[2]
+        assert (adjm is None) == (g.mult is None)
+        assert [m for row in amult for m in row] == (
+            [1] * sum(map(len, adj)) if adjm is None else adjm.tolist()
+        )
         vs = np.arange(g.n)[::-1]
         assert g.neighbors_of(vs).tolist() == [u for v in vs.tolist() for u in adj[v]]
     assert graphs[-1].neighbors_of(np.array([], dtype=np.int64)).tolist() == []
