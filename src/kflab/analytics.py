@@ -39,6 +39,7 @@ __all__ = [
     "chernoff_upper",
     "chernoff_lower",
     "supermartingale_bound",
+    "default_beta",
     "threshold_params",
 ]
 
@@ -204,11 +205,16 @@ class ThresholdParams:
     c_max: float
 
 
+def default_beta(k: int) -> float:
+    """beta = e^(-k/200), the deletion procedure's default cap rate."""
+    return math.exp(-k / 200.0)
+
+
 def threshold_params(k: int) -> ThresholdParams:
     if k < 3:
         raise DomainError(f"threshold_params needs k >= 3, got {k}")
     c_k, _ = c_k_threshold(k)
-    beta = math.exp(-k / 200.0)
+    beta = default_beta(k)
     return ThresholdParams(
         k=k,
         beta=beta,

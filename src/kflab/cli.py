@@ -14,7 +14,7 @@ import sys
 
 from .errors import DomainError, InfeasibleError, KflabError
 from .graphs import format_edge_text, parse_edge_text
-from .harness import AUDIT_KINDS, MODES, ScanConfig, audit_file, law_report, records_to_csv, scan
+from .harness import AUDIT_KINDS, MODES, ScanConfig, audit_graph, law_report, records_to_csv, scan
 from .kcore import k_core
 from .kfactor import find_k_factor
 from .randgraph import gen_gnp
@@ -131,8 +131,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    report = audit_file(
-        args.path,
+    report = audit_graph(
+        _read_graph(args.path),
         args.k,
         args.which,
         c=args.c,

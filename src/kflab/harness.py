@@ -28,7 +28,7 @@ from .analytics import (
     x_of_c,
 )
 from .errors import DomainError
-from .graphs import Graph, parse_edge_text
+from .graphs import Graph
 from .kcore import audit_lw0, k_core
 from .kfactor import audit_properties, find_k_factor
 from .randgraph import gen_gnp, sample_configuration, to_multigraph
@@ -43,7 +43,6 @@ __all__ = [
     "scan",
     "records_to_csv",
     "audit_graph",
-    "audit_file",
     "law_report",
 ]
 
@@ -424,12 +423,6 @@ def audit_graph(
             core, k, cap_multiplier=cap_multiplier, beta_override=beta_override
         ).trace.to_csv()
     raise DomainError(f"unknown audit kind {which!r}; expected {AUDIT_KINDS}")
-
-
-def audit_file(path: str, k: int, which: str, **kwargs) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        g = parse_edge_text(fh.read())
-    return audit_graph(g, k, which, **kwargs)
 
 
 def law_report(k: int, c: float | None = None, i_max: int | None = None) -> dict:

@@ -142,8 +142,11 @@ def tutte_q(g: Graph, k: int, S, T) -> int:
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     s, t = _check_sets(g, S, T)
-    removed = s | t
-    t_nbrs = g.neighbors_in(_mask(g, t))
+    return _odd_components(g, k, s | t, g.neighbors_in(_mask(g, t)))
+
+
+def _odd_components(g: Graph, k: int, removed: set[int], t_nbrs) -> int:
+    """tutte_q on checked sets, given each vertex's neighbour count in T."""
     seen = [False] * g.n
     count = 0
     for start in range(g.n):
@@ -179,8 +182,9 @@ def tutte_check(g: Graph, k: int, S, T, strong: bool = False) -> TutteWitness:
     if g.n and int(deg.min()) < k:
         raise DomainError("tutte_check requires minimum degree >= k")
     s, t = _check_sets(g, S, T)
-    q = tutte_q(g, k, s, t)
-    e_st = int(g.neighbors_in(_mask(g, t))[_mask(g, s)].sum())
+    t_nbrs = g.neighbors_in(_mask(g, t))
+    q = _odd_components(g, k, s | t, t_nbrs)
+    e_st = int(t_nbrs[_mask(g, s)].sum())
     t_high = [v for v in t if int(deg[v]) >= k + 1]
     if strong:
         lhs = k * len(s) + len(t_high)

@@ -44,15 +44,14 @@ W0, W1, R = 0, 1, 2
 class Configuration:
     """A perfect pairing on degree-many copies of each vertex.
 
-    Copy ids are laid out contiguously per vertex: copies of v occupy
-    [offsets[v], offsets[v+1]).  mate is a fixed-point-free involution.
+    Copy ids are laid out contiguously per vertex, in vertex order (owner
+    maps each copy to its vertex).  mate is a fixed-point-free involution.
     """
 
     degrees: np.ndarray
     mate: np.ndarray
     attempts: int = 1
     _owner: np.ndarray | None = field(default=None, repr=False)
-    _offsets: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -63,21 +62,12 @@ class Configuration:
         return len(self.mate)
 
     @property
-    def offsets(self) -> np.ndarray:
-        if self._offsets is None:
-            self._offsets = np.concatenate([[0], np.cumsum(self.degrees)])
-        return self._offsets
-
-    @property
     def owner(self) -> np.ndarray:
         if self._owner is None:
             self._owner = np.repeat(
                 np.arange(self.n, dtype=np.int64), self.degrees
             )
         return self._owner
-
-    def copy_owner(self, cid: int) -> int:
-        return int(self.owner[cid])
 
     def validate(self) -> None:
         m = self.mate

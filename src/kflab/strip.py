@@ -9,7 +9,7 @@ decides queue membership:
   D3  current degree < k
   D4  in R with at least two distinct W1 neighbors
   D5  in W1 with a neighbor that is W1, or R-and-flagged
-  D6  flags never clear
+  D6  a vertex leaves Q only by deletion
 
 Each iteration deletes the least-id queued vertex, moves R neighbors whose
 degree fell to <= k into W1, and re-evaluates D3-D5 on the affected
@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .analytics import default_beta
 from .errors import DomainError
 from .graphs import Graph
 from .randgraph import R, W0, W1
@@ -53,18 +54,12 @@ __all__ = [
     "StripTrace",
     "StripResult",
     "KReport",
-    "strip_init",
     "strip_step",
     "run_strip",
-    "potential",
     "verify_K",
     "enforce_parity",
     "check_state_invariants",
 ]
-
-def default_beta(k: int) -> float:
-    return math.exp(-k / 200.0)
-
 
 class TraceRow(NamedTuple):
     iteration: int
@@ -138,11 +133,13 @@ class StripResult:
 class StripState:
     """Mutable engine state; single-owner, stepped by strip_step.
 
-    The per-vertex fields (deg, deg_w0, class_of, alive, w1n, rqn,
-    deletable, in_q) are Python lists, and the host's CSR is kept as three
-    flat lists: xadj, nbr (neighbor ids) and nmult (their multiplicities,
-    all ones on a simple host).  numpy is used only to build them, in
-    _finalize and in check_state_invariants.
+    The per-vertex fields are Python lists: deg and deg_w0 (edge ends,
+    and those into W0), class_of, alive, w1n (distinct live W1 neighbors)
+    and in_q, the one queue flag, set when a rule first fires and cleared
+    only by deletion.  The heap holds the queued ids.  The host's CSR is
+    kept as three flat lists: xadj, nbr (neighbor ids) and nmult (their
+    multiplicities, all ones on a simple host).  numpy is used only to
+    build them, in _finalize and in check_state_invariants.
     """
 
     def __init__(
@@ -204,10 +201,7 @@ class StripState:
         self.deg_w0 = deg_w0.tolist()
         self.class_of = np.where(w0, W0, R).tolist()
         self.alive = [True] * n
-        # distinct live W1 and R-in-Q neighbors; at init R is the non-W0 part
         self.w1n = [0] * n
-        self.rqn = core.neighbors_in(q & ~w0).tolist()
-        self.deletable = q.tolist()
         self.in_q = q.tolist()
         self.iteration = 0
         self.trace_rows: list[TraceRow] = []
@@ -223,35 +217,14 @@ class StripState:
             (u, m) for u, m in zip(self.nbr[a:b], self.nmult[a:b]) if alive[u]
         ]
 
-    def _enqueue(self, v: int) -> list[tuple[int, int]]:
-        """Queue v, already flagged deletable; returns its live neighbors
-        if v is in R (each gained an R-in-Q neighbor), else []."""
-        self.in_q[v] = True
-        heapq.heappush(self.heap, v)
-        cls = self.class_of[v]
-        if cls == W0:
-            self.A += self.deg_w0[v]
-        else:
-            self.B += self.deg_w0[v]
-        self.D += self.deg[v] - self.deg_w0[v]
-        if cls != R:
-            return []
-        neighbors = self._live_neighbors(v)
-        for u, _ in neighbors:
-            self.rqn[u] += 1
-        return neighbors
-
     def _move_to_w1(self, u: int) -> list[tuple[int, int]]:
         """Move u from R to W1; returns its live neighbors."""
         self.class_of[u] = W1
         self.n_r -= 1
         self.n_w1 += 1
-        queued = self.in_q[u]
         neighbors = self._live_neighbors(u)
         for z, _ in neighbors:
             self.w1n[z] += 1
-            if queued:
-                self.rqn[z] -= 1
         return neighbors
 
     def _row(self, deleted: int, enqueued: int) -> TraceRow:
@@ -269,25 +242,6 @@ class StripState:
         return [v for v, queued in enumerate(self.in_q) if queued]
 
 
-def strip_init(
-    core,
-    k: int,
-    cap_multiplier: float | None = None,
-    beta_override: float | None = None,
-    ambient_n: int | None = None,
-    debug: bool = False,
-) -> StripState:
-    """Classify a k-core and seed the queue from the initial rules D1/D2."""
-    return StripState(
-        core,
-        k,
-        cap_multiplier=cap_multiplier,
-        beta_override=beta_override,
-        ambient_n=ambient_n,
-        debug=debug,
-    )
-
-
 def strip_step(state: StripState) -> TraceRow:
     """Delete the least-id queued vertex and propagate rule re-evaluation.
 
@@ -303,7 +257,7 @@ def strip_step(state: StripState) -> TraceRow:
     v = heapq.heappop(s.heap)
     s.iteration += 1
     k, deg, deg_w0, class_of = s.k, s.deg, s.deg_w0, s.class_of
-    in_q, deletable, w1n, rqn = s.in_q, s.deletable, s.w1n, s.rqn
+    in_q, w1n = s.in_q, s.w1n
     v_cls = class_of[v]
     neighbors = s._live_neighbors(v)
 
@@ -335,9 +289,6 @@ def strip_step(state: StripState) -> TraceRow:
     if v_cls == W1:
         for u, _ in neighbors:
             w1n[u] -= 1
-    elif v_cls == R:  # v was queued, so neighbors lose an R-in-queue neighbor
-        for u, _ in neighbors:
-            rqn[u] -= 1
 
     # 2b: R neighbors whose degree fell to at most k move to W1, each with
     # its live neighborhood, walked once
@@ -348,56 +299,56 @@ def strip_step(state: StripState) -> TraceRow:
     ]
 
     # 2c phase 1: D3 on the touched neighborhood, D5 on movers, D4/D5 around
-    # movers; all conditions read the post-move state, and a vertex is
-    # flagged deletable (sticky) as it is found
+    # movers; all conditions read the post-move state, and a vertex joins Q
+    # (in_q) as it is found.  A mover may so see an R vertex that D4 flagged
+    # earlier in this loop; phase 2 would flag that mover from it anyway.
     flagged: list[int] = []
 
     def flag(w: int) -> None:
-        if not deletable[w]:
-            deletable[w] = True
+        if not in_q[w]:
+            in_q[w] = True
             flagged.append(w)
 
     for u, _ in neighbors:
         if deg[u] < k:
             flag(u)
     for u, u_neighbors in moved:
-        if w1n[u] >= 1 or rqn[u] >= 1:
+        if w1n[u] >= 1 or any(class_of[z] == R and in_q[z] for z, _ in u_neighbors):
             flag(u)
         for z, _ in u_neighbors:
             cls = class_of[z]  # D5: a W1 z gained the W1 neighbor u; or D4
             if cls == W1 or (cls == R and w1n[z] >= 2):
                 flag(z)
 
-    # 2c phase 2: W1 neighbors of R vertices that just became deletable,
-    # found on the neighborhood that enqueueing an R vertex walks
-    cascade: list[int] = []
+    # 2c phase 2: push each flagged vertex with its potential share; a
+    # flagged R vertex flags its W1 neighbors (D5), which this same loop
+    # then reaches at the end of the list
     for z in flagged:
-        for w, _ in s._enqueue(z):
-            if class_of[w] == W1 and not deletable[w]:
-                deletable[w] = True
-                cascade.append(w)
-    for w in cascade:
-        s._enqueue(w)
+        heapq.heappush(s.heap, z)
+        cls = class_of[z]
+        if cls == W0:
+            s.A += deg_w0[z]
+        else:
+            s.B += deg_w0[z]
+        s.D += deg[z] - deg_w0[z]
+        if cls == R:
+            for w, _ in s._live_neighbors(z):
+                if class_of[w] == W1:
+                    flag(w)
 
-    enqueued = len(flagged) + len(cascade)
+    enqueued = len(flagged)
     if s.debug:
         assert enqueued <= 4 * k * k, (
             f"iteration {s.iteration}: {enqueued} enqueues exceed 4k^2"
         )
         # deleting v, moving movers to W1 and enqueueing can break closure
         # only at these vertices; enqueueing never breaks it at a neighbor
-        touched = [u for u, _ in neighbors] + flagged + cascade
+        touched = [u for u, _ in neighbors] + flagged
         for _, u_neighbors in moved:
             touched.extend(z for z, _ in u_neighbors)
         _check_closure(s, set(touched))
     s.trace_rows.append(s._row(deleted=v, enqueued=enqueued))
     return s.trace_rows[-1]
-
-
-def potential(state: StripState) -> tuple[int, int, int, float]:
-    """(A, B, D, X) of the current queue over the live graph."""
-    s = state
-    return s.A, s.B, s.D, s.A + s.k * s.B + s.k7b * s.D
 
 
 def _finalize(state: StripState, halted_reason: str) -> StripResult:
@@ -432,7 +383,7 @@ def run_strip(
     beta = e^(-k/200) unless overridden.  Identical inputs give identical
     results, trace included.
     """
-    state = strip_init(
+    state = StripState(
         core,
         k,
         cap_multiplier=cap_multiplier,
@@ -498,7 +449,6 @@ def check_state_invariants(state: StripState) -> None:
     deg = np.zeros(s.n, dtype=np.int64)
     deg_w0 = np.zeros(s.n, dtype=np.int64)
     w1n = np.zeros(s.n, dtype=np.int64)
-    rqn = np.zeros(s.n, dtype=np.int64)
     for v in range(s.n):
         if not s.alive[v]:
             continue
@@ -511,14 +461,11 @@ def check_state_invariants(state: StripState) -> None:
                 deg_w0[v] += m
             if s.class_of[u] == W1:
                 w1n[v] += 1
-            if s.class_of[u] == R and s.in_q[u]:
-                rqn[v] += 1
     live = np.array(s.alive, dtype=bool)
     for scratch, tracked, what in (
         (deg, s.deg, "degree bookkeeping"),
         (deg_w0, s.deg_w0, "deg_w0 bookkeeping"),
         (w1n, s.w1n, "W1-neighbor counts"),
-        (rqn, s.rqn, "R-in-Q neighbor counts"),
     ):
         assert np.array_equal(scratch[live], np.array(tracked)[live]), f"{what} drifted"
 

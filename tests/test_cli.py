@@ -89,6 +89,14 @@ def test_missing_file_is_input_error(capsys):
     assert "error:" in err
 
 
+def test_audit_missing_file_is_input_error(capsys, tmp_path):
+    missing = tmp_path / "no-such-file.txt"
+    code, _, err = run(capsys, "audit", str(missing), "--k", "5",
+                       "--which", "lw0")
+    assert code == 2
+    assert "cannot read" in err
+
+
 def test_non_integer_edge_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 1\n0 x\n")

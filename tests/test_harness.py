@@ -14,12 +14,11 @@ import pytest
 
 from kflab.analytics import c_k_threshold, g_branching, x_of_c
 from kflab.errors import DomainError
-from kflab.graphs import Graph, format_edge_text
+from kflab.graphs import Graph, format_edge_text, parse_edge_text
 from kflab.harness import (
     CSV_HEADER,
     ScanConfig,
     ScanRecord,
-    audit_file,
     audit_graph,
     elbr_report,
     law_report,
@@ -278,7 +277,7 @@ def test_scan_validation():
 # -------------------------------------------------------------- audits
 
 
-def test_audit_dispatch(tmp_path):
+def test_audit_dispatch():
     g = gen_gnp(2000, c_k_threshold(5)[0] + 0.5, seed=2)
     lw0 = json.loads(audit_graph(g, 5, "lw0"))
     assert [p["label"] for p in lw0] == list("abcdefgh")
@@ -295,9 +294,8 @@ def test_audit_dispatch(tmp_path):
     with pytest.raises(DomainError):
         audit_graph(g, 5, "nope")
 
-    path = tmp_path / "g.txt"
-    path.write_text(format_edge_text(g))
-    assert audit_file(str(path), 5, "elbr") == audit_graph(g, 5, "elbr")
+    text = format_edge_text(g)
+    assert audit_graph(parse_edge_text(text), 5, "elbr") == audit_graph(g, 5, "elbr")
 
 
 # sha256 of each audit report on one seeded G(n, c/n) near c_5 (the P
@@ -317,14 +315,13 @@ def test_audit_golden_outputs():
         assert hashlib.sha256(out.encode()).hexdigest() == digest, which
 
 
-def test_audit_empty_graph_file(tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("0 0\n")
-    elbr = json.loads(audit_file(str(path), 5, "elbr"))
+def test_audit_empty_graph_file():
+    g = parse_edge_text("0 0\n")
+    elbr = json.loads(audit_graph(g, 5, "elbr"))
     assert elbr["core_size"] == 0 and elbr["ratio"] == 0.0
-    prop = json.loads(audit_file(str(path), 5, "P"))
+    prop = json.loads(audit_graph(g, 5, "P"))
     assert all(r["mode"] == "vacuous" for r in prop["results"])
-    trace = audit_file(str(path), 5, "trace")
+    trace = audit_graph(g, 5, "trace")
     assert trace.splitlines()[1].startswith("0,-1,0,")
 
 

@@ -29,12 +29,11 @@ from kflab.randgraph import (
 from kflab.rng import spawn_seed
 from kflab.strip import (
     StripResult,
+    StripState,
     StripTrace,
     check_state_invariants,
     enforce_parity,
-    potential,
     run_strip,
-    strip_init,
     strip_step,
     verify_K,
 )
@@ -53,7 +52,7 @@ def random_core(seed: int, k: int, lo: int = 10, hi: int = 60):
 def stepwise_run(core, k, **kwargs):
     """Run to completion, re-deriving all bookkeeping from scratch after
     every deletion; returns the state."""
-    state = strip_init(core, k, **kwargs)
+    state = StripState(core, k, **kwargs)
     check_state_invariants(state)
     while not state.q_empty and state.iteration < state.cap:
         strip_step(state)
@@ -64,10 +63,10 @@ def stepwise_run(core, k, **kwargs):
 # -------------------------------------------------------------- hand oracles
 
 def test_house_init_classification_and_potential():
-    st_ = strip_init(HOUSE, 2, beta_override=1.0)
+    st_ = StripState(HOUSE, 2, beta_override=1.0)
     assert st_.class_of == [R, W0, R, W0, W0]
     assert st_.queue_ids() == [0, 2]  # both via D2, one degree-2 neighbor
-    assert potential(st_)[:3] == (0, 4, 2)
+    assert (st_.A, st_.B, st_.D) == (0, 4, 2)
     row0 = st_.trace_rows[0]
     assert (row0.a, row0.b, row0.d) == (0, 4, 2)
     assert row0.x == 0 + 2 * 4 + 2**7 * 1.0 * 2
@@ -75,7 +74,7 @@ def test_house_init_classification_and_potential():
 
 
 def test_house_first_step_moves_and_enqueues():
-    st_ = strip_init(HOUSE, 2, beta_override=1.0)
+    st_ = StripState(HOUSE, 2, beta_override=1.0)
     row = strip_step(st_)
     assert row.deleted == 0
     # vertex 2 (degree 3 -> 2) moved from R to W1; 1 and 4 dropped below k
@@ -112,7 +111,7 @@ def test_c4_is_untouched():
 
 
 def test_k5_with_k2_has_empty_queue():
-    st_ = strip_init(K5, 2, beta_override=1.0)
+    st_ = StripState(K5, 2, beta_override=1.0)
     assert st_.n_w0 == 0  # every degree is 4 = 2k, nobody is low
     assert st_.queue_ids() == []
 
@@ -131,7 +130,7 @@ def test_zero_degree_deletion_leaves_x_unchanged():
 
 def test_rejects_degree_below_k():
     with pytest.raises(DomainError):
-        strip_init(Graph(3, [(0, 1), (1, 2)]), 2)
+        StripState(Graph(3, [(0, 1), (1, 2)]), 2)
     with pytest.raises(DomainError):
         run_strip(HOUSE, 0)
 
@@ -158,7 +157,7 @@ def test_cap_multiplier_none_is_default():
     assert a.trace.to_csv() == b.trace.to_csv()
     assert a.K == b.K and a.kept.tolist() == b.kept.tolist()
     assert a.summary_json() == b.summary_json()
-    assert strip_init(core, 3, cap_multiplier=None).cap == b.cap
+    assert StripState(core, 3, cap_multiplier=None).cap == b.cap
 
 
 # --------------------------------------------------------- randomized checks
@@ -207,7 +206,7 @@ def test_debug_step_catches_broken_closure():
     # must catch this
     core = k_core(gen_gnp(3000, 5.0, 1), 3).core
     assert core.n > 2000
-    state = strip_init(core, 3, beta_override=1.0, debug=True)
+    state = StripState(core, 3, beta_override=1.0, debug=True)
     for _ in range(3):
         strip_step(state)
     # next to be deleted is v; make a neighbor y of v and a neighbor z of y
@@ -221,15 +220,21 @@ def test_debug_step_catches_broken_closure():
         strip_step(state)
 
 
-def test_deletable_flags_are_sticky():
+def test_queue_flags_are_sticky():
     core = random_core(7, 3)
-    state = strip_init(core, 3, beta_override=1.0)
-    prev = list(state.deletable)
+    state = StripState(core, 3, beta_override=1.0)
+
+    def flags():
+        return [q or not live for q, live in zip(state.in_q, state.alive)]
+
+    prev = flags()
     while not state.q_empty:
         strip_step(state)
-        # no True -> False transition, flag by flag
-        assert all(now or not before for before, now in zip(prev, state.deletable))
-        prev = list(state.deletable)
+        # a vertex leaves Q only by deletion: no True -> False transition,
+        # vertex by vertex
+        now = flags()
+        assert all(after or not before for before, after in zip(prev, now))
+        prev = now
 
 
 def test_run_is_deterministic():
@@ -377,7 +382,7 @@ def hand_multigraph():
 def test_multigraph_hand_cascade():
     mg = hand_multigraph()
     assert mg.degrees.tolist() == [3, 3, 4]
-    st_ = strip_init(mg, 3, beta_override=1.0)
+    st_ = StripState(mg, 3, beta_override=1.0)
     assert st_.class_of == [W0, W0, R]
     # D2 at vertex 2: two distinct W0 neighbors but multiplicity-counted
     # degree into W0 is 2, and 2*2 >= 3
@@ -394,7 +399,7 @@ def test_multigraph_hand_cascade():
 def test_multigraph_loop_counts_toward_own_w0_degree():
     # two vertices joined by a double edge plus a loop at each: degrees 4, 4
     mg = Graph.from_pairs(2, [(0, 1), (0, 1), (0, 0), (1, 1)])
-    st_ = strip_init(mg, 4, beta_override=1.0)
+    st_ = StripState(mg, 4, beta_override=1.0)
     assert st_.class_of == [W0, W0]
     assert st_.deg_w0 == [4, 4]  # 2 from the loop + 2 to the other
     check_state_invariants(st_)
