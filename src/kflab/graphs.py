@@ -97,6 +97,17 @@ class Graph:
             loops=np.bincount(lo[is_loop], minlength=n),
         )
 
+    @classmethod
+    def _from_csr(cls, xadj: np.ndarray, adjv: np.ndarray) -> "Graph":
+        """Simple graph from a trusted CSR: symmetric, loop-free, each row
+        ascending.  Its canonical rows are the entries above the diagonal."""
+        n = len(xadj) - 1
+        src = np.repeat(np.arange(n), np.diff(xadj))
+        upper = adjv > src
+        g = cls(n, np.column_stack([src[upper], adjv[upper]]), _canonical=True)
+        g._xadj, g._adjv = xadj, adjv
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edge_array)

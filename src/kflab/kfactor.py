@@ -147,10 +147,15 @@ def tutte_q(g: Graph, k: int, S, T) -> int:
 
 def _odd_components(g: Graph, k: int, removed: set[int], t_nbrs) -> int:
     """tutte_q on checked sets, given each vertex's neighbour count in T."""
+    xadj, nbr, _ = g.csr()
+    xadj, nbr = xadj.tolist(), nbr.tolist()
+    # removed vertices read as seen, so no walk enters them
     seen = [False] * g.n
+    for v in removed:
+        seen[v] = True
     count = 0
     for start in range(g.n):
-        if seen[start] or start in removed:
+        if seen[start]:
             continue
         comp = []
         stack = [start]
@@ -158,9 +163,8 @@ def _odd_components(g: Graph, k: int, removed: set[int], t_nbrs) -> int:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for u in g.neighbors(v):
-                u = int(u)
-                if not seen[u] and u not in removed:
+            for u in nbr[xadj[v]:xadj[v + 1]]:
+                if not seen[u]:
                     seen[u] = True
                     stack.append(u)
         e_qt = int(t_nbrs[comp].sum())
@@ -323,6 +327,12 @@ class GadgetReduction:
     instance j, external i of v being v's i-th end in instance order;
     edges (m + sum_v d(v)(d(v) - k), 2) is pair_edges, then each vertex's
     slack block, external-major.
+
+    graph is the gadget as a simple Graph on n_nodes, its CSR written by
+    construction with every row ascending: a slack node's row is its
+    vertex's externals; an external's row is its vertex's slacks, with the
+    external's pair partner before them when the partner's id is smaller
+    and after them otherwise.
     """
 
     n_host: int
@@ -332,6 +342,7 @@ class GadgetReduction:
     pair_edges: np.ndarray
     base: np.ndarray
     host_degrees: np.ndarray
+    graph: Graph
 
 
 def _host_instances(g) -> np.ndarray:
@@ -367,17 +378,33 @@ def gadget_reduce(g, k: int) -> GadgetReduction:
     block = deg * slack
     owner = np.repeat(np.arange(n), block)
     local = np.arange(len(owner)) - np.repeat(np.cumsum(block) - block, block)
+    i, j = np.divmod(local, slack[owner])
+    block_ext = base[owner] + i
+    block_slack = base[owner] + deg[owner] + j
+
+    # CSR rows: v's externals hold 1 + slack(v) entries, its slacks d(v).
+    # A pair row (lo, hi) has lo < hi, so hi's partner comes first in its
+    # row and lo's comes last
+    row_len = np.repeat(np.column_stack([1 + slack, deg]).ravel(),
+                        np.column_stack([deg, slack]).ravel())
+    xadj = np.concatenate([[0], np.cumsum(row_len)])
+    lo, hi = pair_edges.T
+    nbr = np.empty(xadj[-1], dtype=np.int64)
+    nbr[xadj[lo + 1] - 1] = hi
+    nbr[xadj[hi]] = lo
+    partner_first = np.zeros(len(row_len), dtype=np.int64)
+    partner_first[hi] = 1
+    nbr[xadj[block_ext] + partner_first[block_ext] + j] = block_slack
+    nbr[xadj[block_slack] + i] = block_ext
     return GadgetReduction(
         n_host=n,
         k=k,
-        n_nodes=int(size.sum()),
-        edges=np.concatenate([pair_edges, np.column_stack([
-            base[owner] + local // slack[owner],
-            base[owner] + deg[owner] + local % slack[owner],
-        ])]),
+        n_nodes=len(row_len),
+        edges=np.concatenate([pair_edges, np.column_stack([block_ext, block_slack])]),
         pair_edges=pair_edges,
         base=base,
         host_degrees=deg,
+        graph=Graph._from_csr(xadj, nbr),
     )
 
 
@@ -486,7 +513,7 @@ def find_k_factor(g, k: int):
 
     gadget = gadget_reduce(g, k)
     seed = _seed_mate(gadget, _greedy_degree_saturation(g.n, rows, k))
-    mate = maximum_matching(gadget.n_nodes, gadget.edges, seed_mate=seed)
+    mate = maximum_matching(gadget.n_nodes, gadget.graph, seed_mate=seed)
     if not perfect_matching_exists(mate):
         return None
     # rows are canonical, so the factor comes out sorted

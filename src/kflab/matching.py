@@ -16,6 +16,11 @@ empty matching: the search from a root with a free neighbor matches it to
 the first one, which is all a greedy pre-pass would do.  All per-search
 bookkeeping resets lazily through stamps, so a search costs time
 proportional to the subgraph it explores, not to the whole graph.
+
+The engine walks a CSR: the rows of a Graph's csr(), each ascending, held
+as two flat Python lists.  Edges given as pairs are canonicalised with
+Graph.from_pairs first; a Graph is used as is, so a caller that already
+holds its CSR (the k-factor gadget) pays for no sort.
 """
 
 from collections import deque
@@ -29,16 +34,18 @@ __all__ = ["maximum_matching", "matched_pairs", "perfect_matching_exists"]
 
 
 class _Blossom:
-    """One-pass Edmonds search state over a fixed adjacency structure."""
+    """One-pass Edmonds search state over a fixed CSR: the row of v is
+    nbr[xadj[v]:xadj[v + 1]], both flat Python lists."""
 
     __slots__ = (
-        "adj", "mate", "stamp", "bstamp", "clock", "start",
+        "xadj", "nbr", "mate", "stamp", "bstamp", "clock", "start",
         "used_at", "p_at", "p", "base_at", "base", "lca_at",
     )
 
-    def __init__(self, adj, mate):
-        n = len(adj)
-        self.adj = adj
+    def __init__(self, xadj, nbr, mate):
+        n = len(mate)
+        self.xadj = xadj
+        self.nbr = nbr
         self.mate = mate
         self.stamp = 0
         self.bstamp = 0
@@ -112,22 +119,34 @@ class _Blossom:
         vertex is reached.  True iff the matching grew."""
         self.stamp += 1
         stamp = self.stamp
-        self.start = self.clock + 1
-        adj = self.adj
+        start = self.start = self.clock + 1
+        xadj = self.xadj
+        nbr = self.nbr
         mate = self.mate
         base = self.base
         base_at = self.base_at
+        p_at = self.p_at
         used_at = self.used_at
         used_at[root] = stamp
         queue = deque([root])
         while queue:
             v = queue.popleft()
+            mate_v = mate[v]
             # only a contraction moves v's base: look it up now and after one
             v_base = self._get_base(v)
-            for to in adj[v]:
-                if v_base == self._get_base(to) or mate[v] == to:
+            for to in nbr[xadj[v]:xadj[v + 1]]:
+                # the stamped checks inline: a node outside every blossom
+                # of this search is its own base, and p[x] counts only
+                # when p_at[x] >= start
+                if base_at[to] == stamp:
+                    if v_base == self._get_base(to):
+                        continue
+                elif v_base == to:
                     continue
-                if to == root or (mate[to] != -1 and self._get_p(mate[to]) != -1):
+                if mate_v == to:
+                    continue
+                w = mate[to]
+                if to == root or (w != -1 and p_at[w] >= start):
                     # to is outer: the edge closes an odd cycle (blossom)
                     cur_base = self._lca(v, to)
                     bases: list[int] = []
@@ -140,14 +159,14 @@ class _Blossom:
                     # the cycle's inner vertices become outer, queued in the
                     # order the search reached them: queue order decides
                     # which augmenting path is found, and so the mates
-                    for i in sorted(inner, key=self.p_at.__getitem__):
+                    for i in sorted(inner, key=p_at.__getitem__):
                         if used_at[i] != stamp:
                             used_at[i] = stamp
                             queue.append(i)
                     v_base = self._get_base(v)
-                elif self._get_p(to) == -1:
+                elif p_at[to] < start:
                     self._set_p(to, v)
-                    if mate[to] == -1:
+                    if w == -1:
                         # augment: flip matched status back to the root
                         while to != -1:
                             pv = self._get_p(to)
@@ -156,7 +175,6 @@ class _Blossom:
                             mate[pv] = to
                             to = ppv
                         return True
-                    w = mate[to]
                     used_at[w] = stamp
                     queue.append(w)
         return False
@@ -166,12 +184,18 @@ def maximum_matching(n: int, edges, seed_mate=None) -> np.ndarray:
     """Return a maximum matching as a mate array (-1 for exposed vertices).
 
     edges is a sequence of (u, v) pairs or an (m, 2) array; duplicates and
-    loops are ignored.  seed_mate, when given, must be a valid matching
-    over the edges; it is grown, never torn down, so committed pairs stay
-    matched.
+    loops are ignored.  edges may also be a Graph on n vertices, whose CSR
+    is used as is, multiplicities and loops ignored.  seed_mate, when
+    given, must be a valid matching over the edges; it is grown, never
+    torn down, so committed pairs stay matched.
     Deterministic: no randomness, ties broken by vertex id.
     """
-    g = Graph.from_pairs(n, edges)
+    if isinstance(edges, Graph):
+        if edges.n != n:
+            raise DomainError(f"graph has {edges.n} vertices, not n = {n}")
+        g = edges
+    else:
+        g = Graph.from_pairs(n, edges)
     seed = np.asarray(np.full(n, -1) if seed_mate is None else seed_mate, dtype=np.int64)
     if seed.shape != (n,):
         raise DomainError("seed_mate length must equal n")
@@ -186,11 +210,12 @@ def maximum_matching(n: int, edges, seed_mate=None) -> np.ndarray:
     if np.any(g.rows_of(np.column_stack([np.minimum(v, w), np.maximum(v, w)])) < 0):
         raise DomainError("seed_mate uses a non-edge")
 
-    adj = g.adjacency()
+    xadj, nbr, _ = g.csr()
+    xadj, nbr = xadj.tolist(), nbr.tolist()
     mate = seed.tolist()
-    engine = _Blossom(adj, mate)
+    engine = _Blossom(xadj, nbr, mate)
     for root in range(n):
-        if mate[root] == -1 and adj[root]:
+        if mate[root] == -1 and xadj[root] != xadj[root + 1]:
             engine.search(root)
     return np.array(mate, dtype=np.int64)
 

@@ -21,6 +21,7 @@ from kflab import kfactor
 from kflab.analytics import c_k_threshold
 from kflab.errors import DomainError, InfeasibleError
 from kflab.graphs import Graph
+from kflab.harness import _strip_loops
 from kflab.kcore import k_core
 from kflab.kfactor import (
     BRUTE_FORCE_CAP,
@@ -39,7 +40,7 @@ from kflab.kfactor import (
     verify_k_factor,
 )
 from kflab.matching import maximum_matching
-from kflab.randgraph import gen_gnp
+from kflab.randgraph import gen_gnp, sample_configuration, to_multigraph
 from kflab.rng import make_rng
 
 # two triangles sharing vertex 0: its only deg >= 2 obstruction is the cut
@@ -323,6 +324,23 @@ def test_gadget_matches_reference_construction():
             assert _seed_mate(gad, chosen).tolist() == want
 
 
+def test_gadget_graph_is_the_canonical_gadget():
+    # the CSR written by construction equals the one Graph.from_pairs sorts
+    # out of the edge rows: seeded cores, multigraphs with parallel edges,
+    # cores with every degree equal to k (no slack nodes) and n = 0
+    hosts = [*gadget_hosts(), (4, K5), (2, C5), (3, K4), (2, Graph(0, []))]
+    for k, g in hosts:
+        gad = gadget_reduce(g, k)
+        want = Graph.from_pairs(gad.n_nodes, gad.edges)
+        assert gad.graph == want
+        got_xadj, got_adjv, got_mult = gad.graph.csr()
+        want_xadj, want_adjv, want_mult = want.csr()
+        assert got_xadj.tolist() == want_xadj.tolist()
+        assert got_adjv.tolist() == want_adjv.tolist()
+        assert got_mult is None and want_mult is None
+        assert gad.graph.n == gad.n_nodes and gad.graph.m == len(gad.edges)
+
+
 # sha256 of the int64 bytes of the seed mate find_k_factor hands to
 # maximum_matching followed by the mate it gets back, on 4-cores of
 # G(600, (c_4 + 0.2)/n) by gen_gnp seed; recorded before the gadget route
@@ -355,6 +373,50 @@ def test_factor_golden_mates(monkeypatch):
         assert (find_k_factor(core, 4) is not None) == found, seed
         assert len(calls) == 1
         assert hashlib.sha256(calls[0]).hexdigest() == digest, seed
+
+
+# The same digest on more hosts, recorded before the engine read the
+# gadget's CSR directly.  "config": configuration multigraphs with parallel
+# edges, pairing the degrees of the 4-core of G(300, (c_4 + 0.2)/n) by
+# sample_configuration with the same seed, loops stripped as a scan strips
+# them.  "gnp": 4-cores as in GOLDEN_MATES whose search reaches an outer
+# node through the first node labelled inner, so a p-validity test that
+# drops the search's first label changes their mates.
+GOLDEN_MORE_MATES = [
+    ("config", 1, False, "7b0780150d85fd2273bdfd09910f46c600ba5633a5bf383b8496de9b21732e89"),
+    ("config", 4, False, "3eb460dae01d5744f15e11b332c6e42cf206242358537e62c9c26131a7f9bedb"),
+    ("config", 7, False, "c85f31b0ba4321580d8192935a8cb53c1f48ff39865dfdae503c5e17583b3fd8"),
+    ("config", 8, True, "cf2ac2e491629de632d1ce79f82b456026ebac4c4693187f5700d3dabc0476a0"),
+    ("config", 11, True, "211f6cfa13229f2e7d9c157f366fc2d43f1089e23752b4a82cef97234cd4485c"),
+    ("config", 12, False, "7926b45b6fc54adc108a720ee420c92848a6199d75aa6a5fff66b032d08625f9"),
+    ("config", 13, True, "4e78c0e52b2d76669b652a4e3d986d421990bb13428223c140ccc3edb9af1925"),
+    ("config", 14, False, "dceca32ea8b4e1cb2dd81823bf40b64d02aa4b25166dccc9a9127d3d1df74df5"),
+    ("gnp", 29, False, "4e2ce2401aa25dcb6a339eb52bccfd8f9eaaa8d95d9b89685f09a96c2f955806"),
+    ("gnp", 60, False, "2bfa2198e46364982d8869a84414b9b01ea1e63feee1c40c2b0264ac5d24160a"),
+]
+
+
+def test_factor_golden_more_mates(monkeypatch):
+    calls = []
+
+    def spy(n, edges, seed_mate=None):
+        mate = maximum_matching(n, edges, seed_mate=seed_mate)
+        calls.append(np.asarray(seed_mate, dtype=np.int64).tobytes()
+                     + np.asarray(mate, dtype=np.int64).tobytes())
+        return mate
+
+    monkeypatch.setattr(kfactor, "maximum_matching", spy)
+    for kind, seed, found, digest in GOLDEN_MORE_MATES:
+        if kind == "config":
+            degrees = k_core(gen_gnp(300, c_k_threshold(4)[0] + 0.2, seed), 4).core.degrees
+            host = _strip_loops(to_multigraph(sample_configuration(degrees, seed)))
+            assert host.mult is not None and np.any(host.mult > 1), seed
+        else:
+            host = k_core(gen_gnp(600, c_k_threshold(4)[0] + 0.2, seed), 4).core
+        calls.clear()
+        assert (find_k_factor(host, 4) is not None) == found, (kind, seed)
+        assert len(calls) == 1
+        assert hashlib.sha256(calls[0]).hexdigest() == digest, (kind, seed)
 
 
 def count_perfect_matchings(n, edges):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kflab.errors import DomainError
+from kflab.graphs import Graph
 from kflab.matching import matched_pairs, maximum_matching, perfect_matching_exists
 
 
@@ -155,6 +156,26 @@ def test_seed_mate_validation():
         maximum_matching(2, [(0, 1)], seed_mate=[5, -1])  # mate out of range
     with pytest.raises(DomainError):
         maximum_matching(2, [(0, 1)], seed_mate=[-3, -1])  # negative, not -1
+    g = Graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(DomainError):
+        maximum_matching(4, g, seed_mate=[2, -1, 0, -1])  # non-edge, Graph input
+    with pytest.raises(DomainError):
+        maximum_matching(5, g)  # a Graph whose size is not n
+
+
+def test_graph_input_equals_pairs():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        g = Graph.from_pairs(n, pairs)  # parallel edges and loops ignored
+        mate = maximum_matching(n, g)
+        assert mate.tolist() == maximum_matching(n, g.edge_array).tolist()
+        seed = [-1] * n
+        for u, v in matched_pairs(mate)[::2]:
+            seed[u], seed[v] = v, u
+        assert (maximum_matching(n, g, seed_mate=seed).tolist()
+                == maximum_matching(n, g.edge_array, seed_mate=seed).tolist())
 
 
 def test_seeded_equals_unseeded_cardinality():
