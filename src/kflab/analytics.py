@@ -178,7 +178,7 @@ def c_k_asymptotic(k: int) -> float:
 def x_of_c(c: float, k: int) -> float:
     """Greatest root of f(x) = c, by bisection on [x_k, x_k + 10 log k + 10]."""
     c_k, x_k = c_k_threshold(k)
-    if c < c_k - 1e-12:
+    if not c >= c_k - 1e-12:
         raise DomainError(f"x_of_c needs c >= c_k = {c_k:.10g}, got c = {c}")
     if c <= c_k:
         return x_k

@@ -143,20 +143,15 @@ class Graph:
             self._xadj = np.concatenate([[0], np.cumsum(counts)])
         return self._xadj, self._adjv, self._adjm
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted distinct neighbor ids of v (a view into the CSR arrays)."""
-        xadj, adjv, _ = self.csr()
-        return adjv[xadj[v] : xadj[v + 1]]
-
     def neighbors_of(self, vs: np.ndarray) -> np.ndarray:
-        """neighbors(v) of every v in the id array vs, concatenated."""
+        """Sorted neighbor ids of each v in the id array vs, concatenated."""
         xadj, adjv, _ = self.csr()
         counts = xadj[vs + 1] - xadj[vs]
         offset = xadj[vs] - (np.cumsum(counts) - counts)
         return adjv[np.repeat(offset, counts) + np.arange(counts.sum())]
 
     def adjacency(self) -> list[list[int]]:
-        """neighbors(v) of every vertex, as Python lists."""
+        """Sorted distinct neighbor ids of every vertex, as Python lists."""
         xadj, adjv, _ = self.csr()
         bounds, values = xadj.tolist(), adjv.tolist()
         return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]

@@ -43,6 +43,7 @@ __all__ = [
     "scan",
     "records_to_csv",
     "audit_graph",
+    "elbr_report",
     "law_report",
 ]
 

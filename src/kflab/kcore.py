@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .graphs import Graph, format_edge_text
+from .graphs import Graph
 
 __all__ = [
     "CoreResult",
@@ -39,30 +39,6 @@ class CoreResult:
     peel_order: tuple[int, ...]
     vertex_map: np.ndarray
     ambient_n: int
-
-    @property
-    def size(self) -> int:
-        return self.core.n
-
-    @property
-    def degree_histogram(self) -> dict[int, int]:
-        counts = np.bincount(self.core.degrees)
-        return {d: int(c) for d, c in enumerate(counts) if c}
-
-    def edge_text(self) -> str:
-        return format_edge_text(self.core)
-
-    def sidecar_json(self) -> str:
-        return json.dumps(
-            {
-                "ambient_n": self.ambient_n,
-                "membership": self.membership.astype(int).tolist(),
-                "degree_histogram": {
-                    str(d): c for d, c in sorted(self.degree_histogram.items())
-                },
-            },
-            separators=(",", ":"),
-        )
 
 
 def k_core(g: Graph, k: int) -> CoreResult:

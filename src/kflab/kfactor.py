@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, KflabError
 from .graphs import Graph
-from .matching import matched_pairs, maximum_matching, perfect_matching_exists
+from .matching import maximum_matching, perfect_matching_exists
 from .rng import make_rng, spawn_seed
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "tutte_check",
     "brute_force_tutte",
     "gadget_reduce",
-    "perfect_matching",
     "find_k_factor",
     "verify_k_factor",
     "PropertyResult",
@@ -173,12 +172,8 @@ def _odd_components(g: Graph, k: int, removed: set[int], t_nbrs) -> int:
     return count
 
 
-def tutte_check(g: Graph, k: int, S, T, strong: bool = False) -> TutteWitness:
-    """Evaluate the factor inequality for one (S, T) pair.
-
-    With strong=True the left side drops to k|S| + |T_H| (the cruder form
-    that implies the standard one); useful as a diagnostic of slack.
-    """
+def tutte_check(g: Graph, k: int, S, T) -> TutteWitness:
+    """Evaluate the factor inequality for one (S, T) pair."""
     _require_simple(g)
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -189,11 +184,7 @@ def tutte_check(g: Graph, k: int, S, T, strong: bool = False) -> TutteWitness:
     t_nbrs = g.neighbors_in(_mask(g, t))
     q = _odd_components(g, k, s | t, t_nbrs)
     e_st = int(t_nbrs[_mask(g, s)].sum())
-    t_high = [v for v in t if int(deg[v]) >= k + 1]
-    if strong:
-        lhs = k * len(s) + len(t_high)
-    else:
-        lhs = k * len(s) + sum(int(deg[v]) - k for v in t_high)
+    lhs = k * len(s) + sum(int(deg[v]) - k for v in t if int(deg[v]) > k)
     rhs = q + e_st
     return TutteWitness(
         S=tuple(sorted(s)),
@@ -324,25 +315,28 @@ class GadgetReduction:
     multiplicity, in canonical order): host_degrees (n_host,) is d(v);
     base (n_host,) is v's first node, its externals base[v] + [0, d(v))
     and its slacks next; pair_edges (m, 2) row j joins the externals of
-    instance j, external i of v being v's i-th end in instance order;
-    edges (m + sum_v d(v)(d(v) - k), 2) is pair_edges, then each vertex's
-    slack block, external-major.
+    instance j, external i of v being v's i-th end in instance order.
 
     graph is the gadget as a simple Graph on n_nodes, its CSR written by
     construction with every row ascending: a slack node's row is its
     vertex's externals; an external's row is its vertex's slacks, with the
     external's pair partner before them when the partner's id is smaller
-    and after them otherwise.
+    and after them otherwise.  edges is graph.edge_array, not a copy: the
+    m + sum_v d(v)(d(v) - k) gadget edges as canonical rows, the pair
+    edges and every (external, slack) pair of each vertex.
     """
 
     n_host: int
     k: int
     n_nodes: int
-    edges: np.ndarray
     pair_edges: np.ndarray
     base: np.ndarray
     host_degrees: np.ndarray
     graph: Graph
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self.graph.edge_array
 
 
 def _host_instances(g) -> np.ndarray:
@@ -400,21 +394,11 @@ def gadget_reduce(g, k: int) -> GadgetReduction:
         n_host=n,
         k=k,
         n_nodes=len(row_len),
-        edges=np.concatenate([pair_edges, np.column_stack([block_ext, block_slack])]),
         pair_edges=pair_edges,
         base=base,
         host_degrees=deg,
         graph=Graph._from_csr(xadj, nbr),
     )
-
-
-def perfect_matching(n: int, edges):
-    """Perfect matching of an arbitrary graph as a sorted pair list, or
-    None when only smaller matchings exist."""
-    mate = maximum_matching(n, edges)
-    if not perfect_matching_exists(mate):
-        return None
-    return matched_pairs(mate)
 
 
 def _greedy_degree_saturation(n, rows, k) -> list[bool]:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .graphs import Graph
 
-__all__ = ["maximum_matching", "matched_pairs", "perfect_matching_exists"]
+__all__ = ["maximum_matching", "perfect_matching_exists"]
 
 
 class _Blossom:
@@ -218,11 +218,6 @@ def maximum_matching(n: int, edges, seed_mate=None) -> np.ndarray:
         if mate[root] == -1 and xadj[root] != xadj[root + 1]:
             engine.search(root)
     return np.array(mate, dtype=np.int64)
-
-
-def matched_pairs(mate) -> list[tuple[int, int]]:
-    """Canonical (u < v) sorted edge list of a mate array."""
-    return [(v, int(mate[v])) for v in range(len(mate)) if v < mate[v]]
 
 
 def perfect_matching_exists(mate) -> bool:

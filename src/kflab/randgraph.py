@@ -140,7 +140,7 @@ def gen_gnp(n: int, c: float, seed: int) -> Graph:
     """
     if n < 1:
         raise DomainError(f"gen_gnp needs n >= 1, got {n}")
-    if c < 0:
+    if not c >= 0:
         raise DomainError(f"gen_gnp needs c >= 0, got {c}")
     p = min(c / n, 1.0)
     total = n * (n - 1) // 2

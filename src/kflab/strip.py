@@ -169,10 +169,12 @@ class StripState:
         self.beta_eff = (
             float(beta_override) if beta_override is not None else default_beta(k)
         )
-        if self.beta_eff <= 0:
-            raise DomainError("beta must be positive")
+        if not 0 < self.beta_eff < math.inf:
+            raise DomainError(f"beta must be positive and finite, got {self.beta_eff}")
         self.k7b = float(k) ** 7 * self.beta_eff
         scale = 1.0 if cap_multiplier is None else cap_multiplier
+        if not 0 <= scale < math.inf:
+            raise DomainError(f"cap_multiplier must be >= 0 and finite, got {scale}")
         self.cap = int(math.ceil(scale * self.beta_eff * self.ambient_n))
         self.debug = debug
 
@@ -237,9 +239,6 @@ class StripState:
     @property
     def q_empty(self) -> bool:
         return not self.heap
-
-    def queue_ids(self) -> list[int]:
-        return [v for v, queued in enumerate(self.in_q) if queued]
 
 
 def strip_step(state: StripState) -> TraceRow:

@@ -60,6 +60,28 @@ def test_strip_prints_summary(capsys, graph_file, tmp_path):
     assert set(summary) >= {"iterations", "cap", "k1", "k2", "k3", "k4"}
 
 
+def test_strip_bad_cap_and_beta_are_input_errors(capsys, graph_file, tmp_path):
+    core_path = tmp_path / "core.txt"
+    run(capsys, "core", str(graph_file), "--k", "3", "--out", str(core_path))
+    for flag in ("--cap-multiplier=nan", "--cap-multiplier=inf",
+                 "--cap-multiplier=-1", "--beta-override=nan",
+                 "--beta-override=inf"):
+        code, out, err = run(capsys, "strip", str(core_path), "--k", "3", flag)
+        assert code == 2 and out == "" and "error:" in err, flag
+    # a zero multiplier is a zero cap: nothing is deleted
+    code, out, _ = run(capsys, "strip", str(core_path), "--k", "3",
+                       "--cap-multiplier", "0")
+    assert code == 0
+    assert json.loads(out)["cap"] == 0 and json.loads(out)["iterations"] == 0
+
+
+def test_nan_density_is_input_error(capsys):
+    for argv in (("gen", "--n", "50", "--c", "nan"),
+                 ("law", "--k", "5", "--c", "nan")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err, argv
+
+
 def test_factor_certificate_roundtrip(capsys, graph_file, tmp_path):
     core_path = tmp_path / "core.txt"
     run(capsys, "core", str(graph_file), "--k", "3", "--out", str(core_path))

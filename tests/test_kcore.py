@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kflab.analytics import c_k_threshold, core_law
 from kflab.errors import DomainError
-from kflab.graphs import Graph, parse_edge_text
+from kflab.graphs import Graph, format_edge_text, parse_edge_text
 from kflab.kcore import audit_lw0, k_core
 from kflab.randgraph import gen_gnp
 from kflab.rng import spawn_seed
@@ -26,6 +26,7 @@ def random_tree(n: int, seed: int) -> Graph:
 def reference_core_set(g: Graph, k: int, seed: int) -> frozenset:
     """Naive peel deleting a uniformly random low vertex each round."""
     rng = np.random.default_rng(seed)
+    adj = g.adjacency()
     alive = set(range(g.n))
     deg = {v: int(g.degrees[v]) for v in range(g.n)}
     while True:
@@ -34,19 +35,20 @@ def reference_core_set(g: Graph, k: int, seed: int) -> frozenset:
             return frozenset(alive)
         v = low[int(rng.integers(0, len(low)))]
         alive.remove(v)
-        for u in g.neighbors(v).tolist():
+        for u in adj[v]:
             if u in alive:
                 deg[u] -= 1
 
 
 def naive_rounds(g: Graph, k: int) -> tuple:
     """Round-by-round peel recomputing every live degree from scratch."""
+    adj = g.adjacency()
     alive = set(range(g.n))
     order = []
     while True:
         low = sorted(
             v for v in alive
-            if sum(u in alive for u in g.neighbors(v).tolist()) < k
+            if sum(u in alive for u in adj[v]) < k
         )
         if not low:
             return tuple(order)
@@ -57,7 +59,7 @@ def naive_rounds(g: Graph, k: int) -> tuple:
 def test_tree_has_empty_two_core():
     for seed in (1, 2, 3):
         res = k_core(random_tree(30, seed), 2)
-        assert res.size == 0
+        assert res.core.n == 0
         assert res.core.m == 0
         assert sorted(res.peel_order) == list(range(30))
         assert not res.membership.any()
@@ -78,7 +80,7 @@ def test_pendant_peels_to_the_cycle():
     assert res.peel_order == (5,)
     assert res.vertex_map.tolist() == [0, 1, 2, 3, 4]
     assert res.core == Graph(5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)])
-    assert res.degree_histogram == {2: 5}
+    assert np.bincount(res.core.degrees).tolist() == [0, 0, 5]
 
 
 def test_path_peels_in_rounds_from_both_ends():
@@ -132,8 +134,9 @@ def test_core_is_maximal_fixed_point():
         assert again.peel_order == ()
         # no peeled vertex could rejoin: each has < k neighbors in the core
         member = res.membership
+        adj = g.adjacency()
         for v in np.flatnonzero(~member):
-            inside = int(np.sum(member[g.neighbors(v)]))
+            inside = int(np.sum(member[adj[v]]))
             assert inside < 4
 
 
@@ -157,11 +160,10 @@ def test_core_independent_of_edge_permutation():
 
 def test_sidecar_round_trip():
     res = k_core(HOUSE, 2)
-    side = json.loads(res.sidecar_json())
-    assert side["ambient_n"] == 5
-    assert side["membership"] == [1, 1, 1, 1, 1]
-    assert side["degree_histogram"] == {"2": 3, "3": 2}
-    assert parse_edge_text(res.edge_text()) == res.core
+    assert res.ambient_n == 5
+    assert res.membership.astype(int).tolist() == [1, 1, 1, 1, 1]
+    assert np.bincount(res.core.degrees).tolist() == [0, 0, 3, 2]
+    assert parse_edge_text(format_edge_text(res.core)) == res.core
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,9 +175,9 @@ def test_sidecar_round_trip():
 )
 def test_core_minimum_degree_property(n, c, k, seed):
     res = k_core(gen_gnp(n, c, seed), k)
-    if res.size:
+    if res.core.n:
         assert int(res.core.degrees.min()) >= k
-    assert res.size + len(res.peel_order) == n
+    assert res.core.n + len(res.peel_order) == n
 
 
 # ----------------------------------------------------------------- the audit
@@ -183,7 +185,7 @@ def test_core_minimum_degree_property(n, c, k, seed):
 def test_audit_empty_core_flags_size():
     res = k_core(random_tree(40, 9), 2)
     rep = audit_lw0(res, 2)
-    assert res.size == 0
+    assert res.core.n == 0
     assert not rep.part("a").ok
     for label in "cdefgh":
         assert rep.part(label).measured == 0.0
@@ -214,6 +216,6 @@ def test_audit_tracks_core_law_at_moderate_scale():
     g = gen_gnp(n, c, spawn_seed(3141, "law", 0))
     res = k_core(g, k)
     law = core_law(c, k, i_max=k + 5)
-    assert abs(res.size / n - law.zeta) < 0.015
+    assert abs(res.core.n / n - law.zeta) < 0.015
     rep = audit_lw0(res, k)
     assert abs(rep.part("b").measured / n - law.lambda_of(k)) < 0.015

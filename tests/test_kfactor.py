@@ -34,7 +34,6 @@ from kflab.kfactor import (
     brute_force_tutte,
     find_k_factor,
     gadget_reduce,
-    perfect_matching,
     tutte_check,
     tutte_q,
     verify_k_factor,
@@ -127,13 +126,11 @@ def test_check_bowtie_witness():
     }
 
 
-def test_check_strong_form_smaller_lhs():
-    weak = tutte_check(K5, 2, {0}, {1, 2, 3, 4})
-    strong = tutte_check(K5, 2, {0}, {1, 2, 3, 4}, strong=True)
-    # every T vertex has degree 4 = k + 2: surplus 2 each vs flat 1 each
-    assert weak.lhs == 10 and not weak.violated
-    assert strong.lhs == 6 and not strong.violated
-    assert (weak.q, weak.e_st) == (strong.q, strong.e_st) == (0, 4)
+def test_check_counts_t_surplus_in_lhs():
+    w = tutte_check(K5, 2, {0}, {1, 2, 3, 4})
+    # every T vertex has degree 4 = k + 2: surplus 2 each, plus k|S| = 2
+    assert w.lhs == 10 and not w.violated
+    assert (w.q, w.e_st) == (0, 4)
 
 
 def test_check_requires_min_degree():
@@ -326,19 +323,21 @@ def test_gadget_matches_reference_construction():
 
 def test_gadget_graph_is_the_canonical_gadget():
     # the CSR written by construction equals the one Graph.from_pairs sorts
-    # out of the edge rows: seeded cores, multigraphs with parallel edges,
-    # cores with every degree equal to k (no slack nodes) and n = 0
+    # out of the reference construction's edges: seeded cores, multigraphs
+    # with parallel edges, cores with every degree equal to k (no slack
+    # nodes) and n = 0
     hosts = [*gadget_hosts(), (4, K5), (2, C5), (3, K4), (2, Graph(0, []))]
     for k, g in hosts:
         gad = gadget_reduce(g, k)
-        want = Graph.from_pairs(gad.n_nodes, gad.edges)
+        ref_edges = reference_gadget(g, k)[4]
+        want = Graph.from_pairs(gad.n_nodes, ref_edges)
         assert gad.graph == want
         got_xadj, got_adjv, got_mult = gad.graph.csr()
         want_xadj, want_adjv, want_mult = want.csr()
         assert got_xadj.tolist() == want_xadj.tolist()
         assert got_adjv.tolist() == want_adjv.tolist()
         assert got_mult is None and want_mult is None
-        assert gad.graph.n == gad.n_nodes and gad.graph.m == len(gad.edges)
+        assert gad.graph.n == gad.n_nodes and gad.graph.m == len(ref_edges)
 
 
 # sha256 of the int64 bytes of the seed mate find_k_factor hands to
@@ -450,19 +449,6 @@ def test_gadget_matchings_biject_with_factors():
     # exactly three perfect matchings
     gad = gadget_reduce(K4, 2)
     assert count_perfect_matchings(gad.n_nodes, gad.edges) == 3
-
-
-# --------------------------------------------------- perfect_matching
-
-
-def test_perfect_matching_wrapper():
-    assert perfect_matching(2, [(0, 1)]) == [(0, 1)]
-    assert perfect_matching(5, [(i, (i + 1) % 5) for i in range(5)]) is None
-    petersen = ([(i, (i + 1) % 5) for i in range(5)]
-                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-                + [(i, i + 5) for i in range(5)])
-    pm = perfect_matching(10, petersen)
-    assert pm is not None and len(pm) == 5
 
 
 # ------------------------------------------------------- find_k_factor

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from kflab.errors import DomainError
 from kflab.graphs import Graph
-from kflab.matching import matched_pairs, maximum_matching, perfect_matching_exists
+from kflab.matching import maximum_matching, perfect_matching_exists
+
+
+def matched_pairs(mate) -> list[tuple[int, int]]:
+    """Canonical (u < v) sorted edge list of a mate array."""
+    return [(v, int(mate[v])) for v in range(len(mate)) if v < mate[v]]
 
 
 def brute_max_size(n: int, edges) -> int:

@@ -42,6 +42,10 @@ HOUSE = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
 K5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
 
 
+def queue_ids(state) -> list[int]:
+    return [v for v, queued in enumerate(state.in_q) if queued]
+
+
 def random_core(seed: int, k: int, lo: int = 10, hi: int = 60):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(lo, hi))
@@ -65,7 +69,7 @@ def stepwise_run(core, k, **kwargs):
 def test_house_init_classification_and_potential():
     st_ = StripState(HOUSE, 2, beta_override=1.0)
     assert st_.class_of == [R, W0, R, W0, W0]
-    assert st_.queue_ids() == [0, 2]  # both via D2, one degree-2 neighbor
+    assert queue_ids(st_) == [0, 2]  # both via D2, one degree-2 neighbor
     assert (st_.A, st_.B, st_.D) == (0, 4, 2)
     row0 = st_.trace_rows[0]
     assert (row0.a, row0.b, row0.d) == (0, 4, 2)
@@ -80,7 +84,7 @@ def test_house_first_step_moves_and_enqueues():
     # vertex 2 (degree 3 -> 2) moved from R to W1; 1 and 4 dropped below k
     assert st_.class_of[2] == W1
     assert row.enqueued == 2
-    assert st_.queue_ids() == [1, 2, 4]
+    assert queue_ids(st_) == [1, 2, 4]
     check_state_invariants(st_)
 
 
@@ -113,7 +117,7 @@ def test_c4_is_untouched():
 def test_k5_with_k2_has_empty_queue():
     st_ = StripState(K5, 2, beta_override=1.0)
     assert st_.n_w0 == 0  # every degree is 4 = 2k, nobody is low
-    assert st_.queue_ids() == []
+    assert queue_ids(st_) == []
 
 
 def test_zero_degree_deletion_leaves_x_unchanged():
@@ -386,7 +390,7 @@ def test_multigraph_hand_cascade():
     assert st_.class_of == [W0, W0, R]
     # D2 at vertex 2: two distinct W0 neighbors but multiplicity-counted
     # degree into W0 is 2, and 2*2 >= 3
-    assert st_.queue_ids() == [2]
+    assert queue_ids(st_) == [2]
     # 0 and 1 see each other (multiplicity 2); 2's loop does not count
     # because 2 is not in W0, its two single edges into W0 do
     assert st_.deg_w0 == [2, 2, 2]
@@ -491,9 +495,10 @@ def test_enforce_parity_matches_vertex_scan():
             continue
         res = run_strip(core, k, beta_override=1.0, cap_multiplier=1e-9)
         deg = res.K.degrees
+        adj = res.K.adjacency()
         expect = next(
             (v for v in range(res.K.n)
-             if deg[v] > k and all(deg[u] > k for u in res.K.neighbors(v))),
+             if deg[v] > k and all(deg[u] > k for u in adj[v])),
             None,
         )
         out = enforce_parity(res, k)
