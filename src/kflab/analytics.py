@@ -9,6 +9,9 @@ x_k.  For c >= c_k the greatest root x of f(x) = c drives the limiting core
 law: the core occupies a zeta fraction of the vertices and its degree-i
 fraction converges to the Poisson weight e^(-x) x^i / i!.
 
+x_k and x(c) each come from one bisection bracketed by the shape of f
+(see c_k_threshold and x_of_c).  The module uses only math.
+
 Poisson tails are evaluated in log space (lgamma) and accumulated from the
 largest term outward, so nothing here cancels catastrophically for x up to
 about 1e4.
@@ -21,9 +24,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "ThresholdParams",
@@ -102,57 +103,40 @@ def f_of_x(x: float, k: int) -> float:
     denom = poisson_tail(x, k - 1)
     if denom <= 0.0:
         return math.inf
-    try:
-        return x / denom
-    except OverflowError:  # pragma: no cover - denom>0 makes this unreachable
-        return math.inf
+    return x / denom
 
 
-def _f_grid(xs: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized f over a grid, used only to bracket the minimum.
-
-    Processed in chunks so the (points x k) term matrix stays small.
-    """
-    lg = np.array([math.lgamma(i + 1) for i in range(k - 1)])
-    ii = np.arange(k - 1)
-    out = np.empty(len(xs))
-    chunk = max(1, 4_000_000 // max(k - 1, 1))
-    for s in range(0, len(xs), chunk):
-        xc = xs[s : s + chunk]
-        logterms = -xc[:, None] + ii[None, :] * np.log(xc)[:, None] - lg[None, :]
-        m = logterms.max(axis=1, keepdims=True)
-        lower = np.exp(m[:, 0]) * np.exp(logterms - m).sum(axis=1)
-        denom = np.maximum(1.0 - lower, 0.0)
-        with np.errstate(divide="ignore"):
-            out[s : s + chunk] = np.where(
-                denom > 0.0, xc / np.maximum(denom, 1e-300), np.inf
-            )
-    return out
+def _bisect(below, lo: float, hi: float) -> float:
+    """Where below turns from true at lo to false at hi, to _X_TOL or to
+    adjacent floats (near 1e6 those are farther apart than _X_TOL)."""
+    while hi - lo > _X_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=None)
 def c_k_threshold(k: int) -> tuple[float, float]:
     """(c_k, x_k): minimum of f and its unique minimizer, to 1e-10 in x.
 
-    Brackets by a coarse scan over x in {k/2, k/2+0.1, ..., 3k}, then runs
-    a ternary search; f is unimodal past its singular region near 0.
+    f'(x) has the sign of P(Po(x) >= k-1) - (k-1) P(Po(x) = k-1).  The
+    ratio of those two terms rises from 1 without bound, so x_k is the
+    single sign change.  It lies in [k-2, 2k]: the ratio is below k/(k-x)
+    for x < k and above k at 2k.  Bisecting on that sign, not on f itself,
+    keeps x_k clear of the float noise of a nearly flat f.
     """
     if k < 3:
         raise DomainError(f"c_k_threshold needs k >= 3, got {k}")
-    xs = np.arange(0.5 * k, 3.0 * k + 0.05, 0.1)
-    fs = _f_grid(xs, k)
-    i0 = int(np.argmin(fs))
-    if i0 == 0 or i0 == len(xs) - 1:
-        raise ConvergenceError(f"minimum of f not bracketed by coarse scan at k={k}")
-    lo, hi = xs[i0 - 1], xs[i0 + 1]
-    while hi - lo > _X_TOL:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f_of_x(m1, k) < f_of_x(m2, k):
-            hi = m2
-        else:
-            lo = m1
-    x_k = 0.5 * (lo + hi)
+
+    def falling(x: float) -> bool:
+        return poisson_tail(x, k - 1) < (k - 1) * poisson_pmf(x, k - 1)
+
+    x_k = _bisect(falling, k - 2.0, 2.0 * k)
     return f_of_x(x_k, k), x_k
 
 
@@ -176,22 +160,16 @@ def c_k_asymptotic(k: int) -> float:
 
 
 def x_of_c(c: float, k: int) -> float:
-    """Greatest root of f(x) = c, by bisection on [x_k, x_k + 10 log k + 10]."""
+    """Greatest root of f(x) = c, for finite c >= c_k.
+
+    f rises past x_k and f(x) >= x, so the root lies in [x_k, c].
+    """
     c_k, x_k = c_k_threshold(k)
-    if not c >= c_k - 1e-12:
-        raise DomainError(f"x_of_c needs c >= c_k = {c_k:.10g}, got c = {c}")
+    if not c_k - 1e-12 <= c < math.inf:
+        raise DomainError(f"x_of_c needs finite c >= c_k = {c_k:.10g}, got c = {c}")
     if c <= c_k:
         return x_k
-    lo, hi = x_k, x_k + 10.0 * math.log(k) + 10.0
-    if f_of_x(hi, k) < c:
-        raise ConvergenceError(f"root of f(x) = {c} not bracketed above x_k at k={k}")
-    while hi - lo > _X_TOL:
-        mid = 0.5 * (lo + hi)
-        if f_of_x(mid, k) < c:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: f_of_x(x, k) < c, x_k, c)
 
 
 @dataclass(frozen=True)

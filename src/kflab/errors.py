@@ -3,7 +3,8 @@
 DomainError covers bad numeric/structural arguments (CLI exit code 2).
 InfeasibleError covers well-formed requests with no possible answer
 (odd pairing totals, impossible degree splits, resampling exhaustion;
-CLI exit code 3).
+CLI exit code 3).  A bare KflabError is an internal fault, such as a
+constructed factor failing its own verification (CLI exit code 1).
 """
 
 
@@ -13,10 +14,6 @@ class KflabError(Exception):
 
 class DomainError(KflabError, ValueError):
     """Argument outside the mathematical domain of an operation."""
-
-
-class ConvergenceError(KflabError, RuntimeError):
-    """A bracketing or iterative search failed to converge."""
 
 
 class InfeasibleError(KflabError, ValueError):

@@ -33,7 +33,7 @@ from .kcore import audit_lw0, k_core
 from .kfactor import audit_properties, find_k_factor
 from .randgraph import gen_gnp, sample_configuration, to_multigraph
 from .rng import spawn_seed
-from .strip import enforce_parity, run_strip, verify_K
+from .strip import enforce_parity, run_strip, strip_cap, verify_K
 
 __all__ = [
     "ScanConfig",
@@ -94,9 +94,9 @@ def records_to_csv(records) -> str:
 class ScanConfig:
     """Grid experiment description.
 
-    The cap policy mirrors run_strip: beta_override wins over the
-    default e^(-k/200), cap_multiplier scales whichever is in force.  The
-    desk-scale default beta_override = 0.1 caps deletions at n/10.
+    The cap policy is run_strip's (strip.strip_cap), checked by validate
+    before any trial runs.  The desk-scale default beta_override = 0.1
+    caps deletions at n/10.
     """
 
     k: int
@@ -119,12 +119,15 @@ class ScanConfig:
             raise DomainError(f"k must be >= 1, got {self.k}")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
+        if not math.isfinite(self.c_from) or not math.isfinite(self.c_to):
+            raise DomainError("c_from and c_to must be finite")
         if not self.c_from < self.c_to:
             raise DomainError("c_from must be < c_to")
         if self.steps < 1 or self.trials < 1:
             raise DomainError("steps and trials must be >= 1")
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
+        strip_cap(self.k, self.n, self.beta_override, self.cap_multiplier)
         if self.emit_certificate and not (self.certificate_dir or self.out_csv):
             raise DomainError(
                 "emit_certificate needs certificate_dir or out_csv to "

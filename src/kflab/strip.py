@@ -50,6 +50,7 @@ from .randgraph import R, W0, W1
 
 __all__ = [
     "StripState",
+    "strip_cap",
     "TraceRow",
     "StripTrace",
     "StripResult",
@@ -130,6 +131,27 @@ class StripResult:
         )
 
 
+def strip_cap(
+    k: int,
+    n: int,
+    beta_override: float | None = None,
+    cap_multiplier: float | None = None,
+) -> tuple[float, int]:
+    """(beta_eff, cap) of a run whose ambient graph has n vertices.
+
+    beta_eff is beta_override if given, else e^(-k/200), and must be
+    positive and finite.  cap = ceil(cap_multiplier * beta_eff * n), with
+    cap_multiplier 1 unless given; it must be finite and >= 0.
+    """
+    beta = float(beta_override) if beta_override is not None else default_beta(k)
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta must be positive and finite, got {beta}")
+    scale = 1.0 if cap_multiplier is None else cap_multiplier
+    if not 0 <= scale < math.inf:
+        raise DomainError(f"cap_multiplier must be >= 0 and finite, got {scale}")
+    return beta, int(math.ceil(scale * beta * n))
+
+
 class StripState:
     """Mutable engine state; single-owner, stepped by strip_step.
 
@@ -166,16 +188,10 @@ class StripState:
         self.k = k
         self.n = n
         self.ambient_n = int(ambient_n) if ambient_n is not None else n
-        self.beta_eff = (
-            float(beta_override) if beta_override is not None else default_beta(k)
+        self.beta_eff, self.cap = strip_cap(
+            k, self.ambient_n, beta_override, cap_multiplier
         )
-        if not 0 < self.beta_eff < math.inf:
-            raise DomainError(f"beta must be positive and finite, got {self.beta_eff}")
         self.k7b = float(k) ** 7 * self.beta_eff
-        scale = 1.0 if cap_multiplier is None else cap_multiplier
-        if not 0 <= scale < math.inf:
-            raise DomainError(f"cap_multiplier must be >= 0 and finite, got {scale}")
-        self.cap = int(math.ceil(scale * self.beta_eff * self.ambient_n))
         self.debug = debug
 
         xadj, adjv, adjm = core.csr()
@@ -377,10 +393,9 @@ def run_strip(
 ) -> StripResult:
     """Iterate deletions until the queue empties or the iteration cap hits.
 
-    The cap is ceil(cap_multiplier * beta * n) with n the ambient vertex
-    count (defaulting to the core size), cap_multiplier 1 unless given, and
-    beta = e^(-k/200) unless overridden.  Identical inputs give identical
-    results, trace included.
+    The cap is strip_cap's, with n the ambient vertex count (defaulting to
+    the core size).  Identical inputs give identical results, trace
+    included.
     """
     state = StripState(
         core,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kflab import analytics as A
-from kflab.errors import ConvergenceError, DomainError
+from kflab.errors import DomainError
 
 
 # ---------------------------------------------------------------- oracles
@@ -79,6 +79,26 @@ def test_derivative_vanishes_at_x_k():
         assert abs(der) <= 10.0 * k**-0.5
 
 
+def test_x3_is_the_closed_form_root():
+    # for k = 3, f'(x) = 0 reduces to e^x = 1 + x + x^2
+    lo, hi = 1.0, 3.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if math.exp(mid) < 1.0 + mid + mid * mid:
+            lo = mid
+        else:
+            hi = mid
+    assert A.c_k_threshold(3)[1] == pytest.approx(lo, abs=1e-10)
+
+
+def test_x_k_is_the_sign_change_of_f_prime():
+    # f'(x) has the sign of P(Po(x) >= k-1) - (k-1) P(Po(x) = k-1)
+    for k in (3, 4, 10, 100, 1000, 3200):
+        _, x_k = A.c_k_threshold(k)
+        s = lambda x: A.poisson_tail(x, k - 1) - (k - 1) * A.poisson_pmf(x, k - 1)
+        assert s(x_k - 1e-9) < 0.0 < s(x_k + 1e-9), k
+
+
 def test_c_k_threshold_rejects_small_k():
     with pytest.raises(DomainError):
         A.c_k_threshold(2)
@@ -121,6 +141,12 @@ def test_c_k_gap_measured_values():
     rel100 = abs(gap100) / A.c_k_threshold(100)[0]
     rel1000 = abs(gap1000) / A.c_k_threshold(1000)[0]
     assert rel1000 < rel100 < 0.011
+    # residual table over k = 50 .. 3200, doubling
+    ks = (50, 100, 200, 400, 800, 1600, 3200)
+    gaps = [A.c_k_threshold(k)[0] - A.c_k_asymptotic(k) for k in ks]
+    assert gaps == pytest.approx(
+        [-1.28, -1.28, -1.37, -1.54, -1.79, -2.14, -2.60], abs=5e-3
+    )
 
 
 # ---------------------------------------------------------------- x_of_c
@@ -131,6 +157,14 @@ def test_x_of_c_at_threshold_and_domain():
         assert A.x_of_c(c_k, k) == pytest.approx(x_k, abs=1e-9)
         with pytest.raises(DomainError):
             A.x_of_c(c_k - 1e-3, k)
+
+
+def test_x_of_c_far_above_threshold_and_non_finite():
+    x = A.x_of_c(1e6, 5)
+    assert A.f_of_x(x, 5) == pytest.approx(1e6, rel=1e-12)
+    for c in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            A.x_of_c(c, 5)
 
 
 def test_x_of_c_round_trip():

@@ -77,7 +77,8 @@ def test_strip_bad_cap_and_beta_are_input_errors(capsys, graph_file, tmp_path):
 
 def test_nan_density_is_input_error(capsys):
     for argv in (("gen", "--n", "50", "--c", "nan"),
-                 ("law", "--k", "5", "--c", "nan")):
+                 ("law", "--k", "5", "--c", "nan"),
+                 ("law", "--k", "5", "--c", "inf")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "error:" in err, argv
 
@@ -141,6 +142,16 @@ def test_scan_stdout_csv(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("c,trial,seed,")
     assert len(lines) == 5
+
+
+def test_scan_bad_density_and_cap_are_input_errors(capsys):
+    args = ("scan", "--n", "50", "--k", "3", "--c-from", "4", "--steps", "2",
+            "--trials", "1")
+    for extra in (("--c-to", "inf"),
+                  ("--c-to", "5", "--cap-multiplier", "inf"),
+                  ("--c-to", "5", "--beta-override", "nan")):
+        code, out, err = run(capsys, *args, *extra)
+        assert code == 2 and out == "" and "error:" in err, extra
 
 
 def test_scan_files_and_summary(capsys, tmp_path):
