@@ -19,15 +19,19 @@ different parity.  This module provides both routes to a verdict:
   residual deficiency.
 
 audit_properties measures the expansion-style properties P1-P6 that a
-stripped remainder is expected to satisfy: exact subset enumeration up to
-12 vertices, randomized search with greedy worsening beyond that, always
-reported as margins rather than asserted.
+stripped remainder is expected to satisfy, always reported as margins
+rather than asserted.  Each property's size test, margin and violation
+rule is written once, in one table that both audits apply: up to 12
+vertices to every subset pair at once, as array arithmetic over vertex
+bitmasks; beyond that to a randomized search with greedy worsening.
 """
 
 import json
 import math
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -589,214 +593,205 @@ class PropertyReport:
 EXACT_AUDIT_CAP = 12
 
 
-def _p6_terms(k: int) -> tuple[float, float]:
+@dataclass(frozen=True)
+class _Property:
+    name: str
+    pair: bool  # measured on disjoint (X, Y); otherwise on Y alone, nx = 0
+    eligible: Callable  # (nx, ny) -> the size test
+    margin: Callable  # (nx, ny, stats) -> (margin, violated)
+
+
+def _nonpositive(m):
+    return m, m <= 0
+
+
+def _negative(m):
+    return m, m < 0
+
+
+def _properties(n: int, k: int, eps0: float, gamma: float) -> tuple[_Property, ...]:
+    """P1-P6 on a graph of n vertices: the one definition both audits apply.
+
+    stats holds e_y = e(Y), cut_y = e(Y, V - Y), e_xy = e(X, Y),
+    common = |N(X) & Y| and dsum_y, the degree sum of Y.  Sizes, stats and
+    results are Python numbers or, elementwise, numpy arrays.  A margin is
+    slack against the bound: P2 is violated below zero, P6 when its edge
+    clause is below zero or its degree clause at most zero, the rest at
+    zero or below.  In P5 and P6, X plays S and Y plays T.
+
+    P6 is the one size test that admits an empty X (S).  The exact audit
+    enumerates nonempty X only and the sampled one draws |X| from [0, n];
+    tests pin both, so the two audits differ there.
+    """
     root = math.sqrt(k * math.log(k)) if k > 1 else 0.0
-    return 0.75 * root, 0.875 * root
+    c6a, c6b = 0.75 * root, 0.875 * root
+
+    def p6(nx, ny, s):
+        m1 = k * nx + c6a * ny - s.e_xy
+        m2 = s.dsum_y - (k + c6b) * ny
+        return np.minimum(m1, m2), (m1 < 0) | (m2 <= 0)
+
+    return (
+        _Property("P1", False,
+                  lambda nx, ny: (ny >= 1) & (ny <= 10.0 * eps0 * n),
+                  lambda nx, ny, s: _nonpositive(k * ny / 6000.0 - s.e_y)),
+        _Property("P2", False,
+                  lambda nx, ny: (ny >= 1) & (2 * ny <= n),
+                  lambda nx, ny, s: _negative(s.cut_y - gamma * k * ny)),
+        _Property("P3", True,
+                  lambda nx, ny: ((nx >= 1) & (ny >= 1) & (200 * nx >= ny)
+                                  & (ny <= eps0 * n)),
+                  lambda nx, ny, s: _nonpositive(0.5 * gamma * k * nx - s.e_xy)),
+        _Property("P4", True,
+                  lambda nx, ny: (nx >= 1) & (ny >= 1) & (nx + ny <= eps0 * n),
+                  lambda nx, ny, s: _nonpositive(
+                      (1 + 1 / 2000.0) * s.common + k * nx / 100.0 - s.e_xy)),
+        _Property("P5", True,
+                  lambda nx, ny: ((nx > 9.0 * eps0 * n / 10.0) & (ny >= 1)
+                                  & (ny < eps0 * n / 10.0)),
+                  lambda nx, ny, s: _nonpositive(0.75 * k * nx - s.e_xy)),
+        _Property("P6", True, lambda nx, ny: (ny >= 1) & (ny >= eps0 * n / 10.0), p6),
+    )
 
 
 def _audit_exact(g: Graph, k, eps0, gamma) -> list[PropertyResult]:
+    """Apply the table to every nonempty Y, then to every nonempty X with
+    every nonempty Y disjoint from it.  A property's witness is its first
+    least margin in that order: Y ascending; X ascending, then Y
+    descending."""
     n = g.n
-    deg = [int(d) for d in g.degrees]
-    adjmask = _adjmask(g)
-    size = 1 << n
-    e_in = [0] * size
-    nbr = [0] * size
-    dsum = [0] * size
-    cnt = [0] * size
-    for m in range(1, size):
-        lb = m & -m
-        v = lb.bit_length() - 1
-        prev = m ^ lb
-        e_in[m] = e_in[prev] + (adjmask[v] & prev).bit_count()
-        nbr[m] = nbr[prev] | adjmask[v]
-        dsum[m] = dsum[prev] + deg[v]
-        cnt[m] = cnt[prev] + 1
-    total_edges = e_in[size - 1]
+    props = _properties(n, k, eps0, gamma)
+    masks = np.arange(1 << n)
+    bits = (masks[:, None] >> np.arange(n)) & 1  # row m: the members of mask m
+    size = bits.sum(axis=1)
+    # row m: each vertex's neighbour count in m
+    into = size[masks[:, None] & np.array(_adjmask(g), dtype=np.int64)]
+    e_in = (into * bits).sum(axis=1) // 2
+    nbr = (into > 0) @ (1 << np.arange(n))  # N(m) as a mask
+    dsum = bits @ g.degrees
 
-    track: dict[str, list] = {
-        name: [0, 0, None, None] for name in ("P1", "P2", "P3", "P4", "P5", "P6")
-    }
+    def blocks():
+        ys = masks[:0:-1]
+        yield False, np.zeros_like(ys), masks[1:]
+        # 64 X at a time against every Y: row-major order keeps X
+        # ascending, then Y descending
+        for first in range(1, 1 << n, 64):
+            xs, grid_y = np.broadcast_arrays(masks[first:first + 64, None], ys)
+            disjoint = (xs & grid_y) == 0
+            yield True, xs[disjoint], grid_y[disjoint]
 
-    def record(name, margin, violated, witness):
-        t = track[name]
-        t[0] += 1
-        t[1] += int(violated)
-        if t[2] is None or margin < t[2]:
-            t[2] = margin
-            t[3] = witness
-    p1_cap = 10.0 * eps0 * n
-    p34_cap = eps0 * n
-    p56_cut = eps0 * n / 10.0
-    p5_floor = 9.0 * eps0 * n / 10.0
-    c6a, c6b = _p6_terms(k)
+    tally = {p.name: [0, 0, None, None] for p in props}
+    for pair, x, y in blocks():
+        nx, ny = size[x], size[y]
+        stats = SimpleNamespace(
+            e_y=e_in[y], cut_y=dsum[y] - 2 * e_in[y],
+            e_xy=e_in[x | y] - e_in[x] - e_in[y], common=size[nbr[x] & y],
+            dsum_y=dsum[y])
+        for p in props:
+            if p.pair != pair:
+                continue
+            ok = p.eligible(nx, ny)
+            if not ok.any():
+                continue
+            margin, violated = p.margin(nx, ny, stats)
+            t = tally[p.name]
+            t[0] += int(np.count_nonzero(ok))
+            t[1] += int(np.count_nonzero(violated & ok))
+            i = int(np.argmin(np.where(ok, margin, np.inf)))
+            if t[2] is None or margin[i] < t[2]:
+                t[2] = float(margin[i])
+                t[3] = tuple(tuple(np.flatnonzero(bits[part[i]]).tolist())
+                             for part in ((x, y) if pair else (y,)))
+    return [
+        PropertyResult(name=name, mode="exact" if checked else "vacuous",
+                       checked=checked, violations=viol, worst_margin=worst,
+                       witness=witness)
+        for name, (checked, viol, worst, witness) in tally.items()
+    ]
 
-    bits_cache = [tuple(v for v in range(n) if (m >> v) & 1) for m in range(size)]
 
-    for y in range(1, size):
-        ny = cnt[y]
-        if ny <= p1_cap:
-            margin = k * ny / 6000.0 - e_in[y]
-            record("P1", margin, margin <= 0, (bits_cache[y],))
-        if 2 * ny <= n:
-            cut = total_edges - e_in[y] - e_in[(size - 1) ^ y]
-            margin = cut - gamma * k * ny
-            record("P2", margin, margin < 0, (bits_cache[y],))
+class _SampledStats:
+    """The stats of one sampled (X, Y), each computed when a margin reads it."""
 
-    for x in range(1, size):
-        nx = cnt[x]
-        comp = (size - 1) ^ x
-        y = comp
-        while y:
-            ny = cnt[y]
-            e_xy = e_in[x | y] - e_in[x] - e_in[y]
-            if 200 * nx >= ny and ny <= p34_cap:
-                margin = 0.5 * gamma * k * nx - e_xy
-                record("P3", margin, margin <= 0, (bits_cache[x], bits_cache[y]))
-            if nx + ny <= p34_cap:
-                common = (nbr[x] & y).bit_count()
-                margin = (1 + 1 / 2000.0) * common + k * nx / 100.0 - e_xy
-                record("P4", margin, margin <= 0, (bits_cache[x], bits_cache[y]))
-            # (S, T) role: x plays S, y plays T
-            if ny < p56_cut and nx > p5_floor:
-                margin = 0.75 * k * nx - e_xy
-                record("P5", margin, margin <= 0, (bits_cache[x], bits_cache[y]))
-            if ny >= p56_cut:
-                m1 = k * nx + c6a * ny - e_xy
-                m2 = dsum[y] - (k + c6b) * ny
-                margin = min(m1, m2)
-                record("P6", margin, m1 < 0 or m2 <= 0,
-                       (bits_cache[x], bits_cache[y]))
-            y = (y - 1) & comp
+    def __init__(self, g: Graph, in_x, in_y):
+        self.g, self.in_x, self.in_y = g, in_x, in_y
 
-    out = []
-    for name, (checked, viol, worst, witness) in track.items():
-        out.append(
-            PropertyResult(
-                name=name,
-                mode="exact" if checked else "vacuous",
-                checked=checked,
-                violations=viol,
-                worst_margin=None if worst is None else float(worst),
-                witness=witness,
-            )
-        )
-    return out
+    @property
+    def e_y(self):
+        return self.g.neighbors_in(self.in_y)[self.in_y].sum() // 2
+
+    @property
+    def cut_y(self):
+        return self.g.neighbors_in(~self.in_y)[self.in_y].sum()
+
+    @property
+    def e_xy(self):
+        return self.g.neighbors_in(self.in_y)[self.in_x].sum()
+
+    @property
+    def common(self):
+        return np.count_nonzero((self.g.neighbors_in(self.in_x) > 0) & self.in_y)
+
+    @property
+    def dsum_y(self):
+        return self.g.degrees[self.in_y].sum()
 
 
 def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResult]:
+    """Per property, draw part sizes and random parts, then try local moves
+    that lower the margin; each draw's final margin is one sample."""
     n = g.n
-    deg = g.degrees.astype(np.float64)
-    c6a, c6b = _p6_terms(k)
     local_moves = 8
     draws = max(1, budget // (6 * (1 + local_moves)))
-
-    p1_cap = int(10 * eps0 * n)
+    # where each part's size is drawn from; the table's size test decides
     p34_cap = int(eps0 * n)
-    p6_floor = max(1, math.ceil(eps0 * n / 10))
-    p5_cap = math.ceil(eps0 * n / 10) - 1  # |T| < eps0 n / 10
-    p5_floor = int(9 * eps0 * n / 10) + 1  # |S| > 9 eps0 n / 10
-
-    # each spec: eligibility over sizes, evaluator -> (margin, violated)
-    def ok_p1(ny):
-        return 1 <= ny <= p1_cap
-
-    def eval_p1(in_y):
-        ny = int(in_y.sum())
-        m = k * ny / 6000.0 - g.neighbors_in(in_y)[in_y].sum() // 2
-        return m, m <= 0
-
-    def ok_p2(ny):
-        return 1 <= ny and 2 * ny <= n
-
-    def eval_p2(in_y):
-        ny = int(in_y.sum())
-        cut = g.neighbors_in(~in_y)[in_y].sum()
-        m = cut - gamma * k * ny
-        return m, m < 0
-
-    def ok_p3(nx, ny):
-        return nx >= 1 and ny >= 1 and 200 * nx >= ny and ny <= p34_cap
-
-    def eval_p3(in_x, in_y):
-        nx = int(in_x.sum())
-        m = 0.5 * gamma * k * nx - g.neighbors_in(in_y)[in_x].sum()
-        return m, m <= 0
-
-    def ok_p4(nx, ny):
-        return nx >= 1 and ny >= 1 and nx + ny <= p34_cap
-
-    def eval_p4(in_x, in_y):
-        nx = int(in_x.sum())
-        common = int(np.sum((g.neighbors_in(in_x) > 0) & in_y))
-        m = (1 + 1 / 2000.0) * common + k * nx / 100.0 - g.neighbors_in(in_y)[in_x].sum()
-        return m, m <= 0
-
-    def ok_p5(ns, nt):
-        return ns >= p5_floor and 1 <= nt <= p5_cap
-
-    def eval_p5(in_s, in_t):
-        ns = int(in_s.sum())
-        m = 0.75 * k * ns - g.neighbors_in(in_t)[in_s].sum()
-        return m, m <= 0
-
-    def ok_p6(ns, nt):
-        return nt >= p6_floor
-
-    def eval_p6(in_s, in_t):
-        ns = int(in_s.sum())
-        nt = int(in_t.sum())
-        m1 = k * ns + c6a * nt - g.neighbors_in(in_t)[in_s].sum()
-        m2 = float(deg[in_t].sum()) - (k + c6b) * nt
-        return min(m1, m2), (m1 < 0 or m2 <= 0)
-
-    # draw ranges: (x or y size low/high per part); eligibility re-filters
-    specs = [
-        ("P1", [(1, p1_cap)], ok_p1, eval_p1),
-        ("P2", [(1, n // 2)], ok_p2, eval_p2),
-        ("P3", [(1, n), (1, min(p34_cap, 200 * n))], ok_p3, eval_p3),
-        ("P4", [(1, p34_cap), (1, p34_cap)], ok_p4, eval_p4),
-        ("P5", [(p5_floor, n), (1, p5_cap)], ok_p5, eval_p5),
-        ("P6", [(0, n), (p6_floor, n)], ok_p6, eval_p6),
-    ]
+    tenth = math.ceil(eps0 * n / 10)
+    draw_ranges = (
+        [(1, int(10 * eps0 * n))],
+        [(1, n // 2)],
+        [(1, n), (1, min(p34_cap, 200 * n))],
+        [(1, p34_cap), (1, p34_cap)],
+        [(int(9 * eps0 * n / 10) + 1, n), (1, tenth - 1)],
+        [(0, n), (max(1, tenth), n)],
+    )
     results = []
-    for idx, (name, ranges, ok, ev) in enumerate(specs):
+    for idx, (prop, ranges) in enumerate(zip(_properties(n, k, eps0, gamma), draw_ranges)):
         rng = make_rng(spawn_seed(seed, "audit", idx))
-        checked = 0
-        viol = 0
-        worst = None
-        witness = None
+
+        # a one-set property's one part is Y: nx is 0 and its margin reads no X
+        def measure(state, sizes):
+            stats = _SampledStats(g, *(None, *state)[-2:])
+            return prop.margin(*(0, *sizes)[-2:], stats)
+
+        checked = viol = 0
+        worst = witness = None
         for _ in range(draws):
             sizes = [int(rng.integers(lo, hi + 1)) if hi >= lo else -1
                      for lo, hi in ranges]
-            if any(s < 0 for s in sizes) or sum(sizes) > n or not ok(*sizes):
+            if (min(sizes) < 0 or sum(sizes) > n
+                    or not prop.eligible(*(0, *sizes)[-2:])):
                 continue
-            perm = rng.permutation(n)
-            state = []
-            at = 0
+            perm, state = rng.permutation(n), []
             for s in sizes:
-                part = np.zeros(n, dtype=bool)
-                part[perm[at:at + s]] = True
-                state.append(part)
-                at += s
-            m, bad = ev(*state)
+                state.append(np.zeros(n, dtype=bool))
+                state[-1][perm[:s]] = True
+                perm = perm[s:]
+            m, bad = measure(state, sizes)
             checked += 1
             for _ in range(local_moves):
-                side = int(rng.integers(0, len(state)))
-                part = state[side]
+                part = state[int(rng.integers(0, len(state)))]
                 v = int(rng.integers(0, n))
                 if not part[v] and any(s[v] for s in state):
                     continue  # keep the parts disjoint
                 part[v] = not part[v]
                 new_sizes = [int(s.sum()) for s in state]
-                if not ok(*new_sizes):
-                    part[v] = not part[v]
-                    continue
-                m2, bad2 = ev(*state)
-                checked += 1
-                if m2 < m:
-                    m, bad = m2, bad2
-                else:
-                    part[v] = not part[v]
+                if prop.eligible(*(0, *new_sizes)[-2:]):
+                    m2, bad2 = measure(state, new_sizes)
+                    checked += 1
+                    if m2 < m:
+                        m, bad = m2, bad2
+                        continue
+                part[v] = not part[v]  # undo: ineligible, or the margin did not fall
             viol += int(bad)
             if worst is None or m < worst:
                 worst = m
@@ -805,7 +800,7 @@ def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResul
                 )
         results.append(
             PropertyResult(
-                name=name,
+                name=prop.name,
                 mode="sampled" if checked else "vacuous",
                 checked=checked,
                 violations=viol,
@@ -827,8 +822,10 @@ def audit_properties(
     """Measure the expansion properties P1-P6 of a remainder graph.
 
     Up to 12 vertices every subset pair is enumerated, so a clean report
-    is a proof; beyond that, sample_budget randomized draws with greedy
-    local worsening only search for violations, and the report says so.
+    is a proof; beyond that, a randomized search only looks for
+    violations, and the report says so.  sample_budget (>= 1) bounds its
+    evaluations: each property gets max(1, sample_budget // 54) random
+    draws, each followed by 8 local moves that keep a lower margin.
     Margins are slack against each property's bound: negative (or zero,
     for strict bounds) means violated.
     """
@@ -837,12 +834,13 @@ def audit_properties(
         raise DomainError(f"k must be >= 1, got {k}")
     if not 0 < epsilon0 <= 1 or not 0 < gamma <= 1:
         raise DomainError("epsilon0 and gamma must be in (0, 1]")
-    if K.n <= EXACT_AUDIT_CAP:
+    if sample_budget < 1:
+        raise DomainError(f"sample_budget must be >= 1, got {sample_budget}")
+    exhaustive = K.n <= EXACT_AUDIT_CAP
+    if exhaustive:
         results = _audit_exact(K, k, epsilon0, gamma)
-        exhaustive = True
     else:
         results = _audit_sampled(K, k, epsilon0, gamma, sample_budget, seed)
-        exhaustive = False
     return PropertyReport(
         results=tuple(results),
         epsilon0=epsilon0,

@@ -204,3 +204,10 @@ def test_audit_and_law(capsys, graph_file, tmp_path):
 def test_law_bad_k_exit(capsys):
     code, _, err = run(capsys, "law", "--k", "2")
     assert code == 2 and "error:" in err
+
+
+def test_audit_bad_sample_budget_exit(capsys, graph_file):
+    code, out, err = run(capsys, "audit", str(graph_file), "--k", "3",
+                         "--which", "P", "--sample-budget", "-5")
+    assert code == 2 and out == ""
+    assert "sample_budget" in err

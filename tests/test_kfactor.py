@@ -723,6 +723,14 @@ def test_audit_guards():
         audit_properties(Graph.from_pairs(2, [(0, 1), (0, 1)]), 1)
 
 
+def test_audit_rejects_sample_budget_below_one():
+    # checked on every graph, not only where the sampled audit runs
+    for g in (C4, Graph(40, list(itertools.combinations(range(40), 2)))):
+        for budget in (0, -5):
+            with pytest.raises(DomainError, match="sample_budget"):
+                audit_properties(g, 2, sample_budget=budget)
+
+
 def test_audit_report_json_shape():
     rep = audit_properties(C4, 2, epsilon0=0.5, gamma=0.1)
     d = json.loads(rep.to_json())
@@ -735,3 +743,64 @@ def test_audit_report_json_shape():
         assert sorted(r.keys()) == [
             "checked", "mode", "name", "violations", "witness",
             "worst_margin"]
+
+
+# sha256 of the concatenated audit_properties(...).to_json() over seeded
+# random graphs, one digest per n, for k in (1, 2, 3, 5) and each
+# (epsilon0, gamma) in AUDIT_PARAMS: n <= 12 takes the exact path, the rest
+# the sampled one.  Recorded before P1-P6 moved into one table.
+AUDIT_PARAMS = [(0.01, 0.1), (0.1, 0.5), (0.3, 0.05), (0.5, 0.1), (1.0, 1.0)]
+GOLDEN_AUDIT_CORPUS = {
+    0: "083839b3fb2b3203fd9532c12456ff4ec7fa4ebc3a2530aacc67104d4df09365",
+    1: "0ad15c0cb21177e003b1fe5ded235f28ce5edbc8a358954a7924fd435816a1bf",
+    2: "0f40f7097bc6a8a8812c8e96bf16b03f2bfdf9b4cfd2f3d9e1edf6faaead4c88",
+    3: "877b31ec24a0101b4d3395d475d50969cfc2f8c5d7c8e1238dc346fccdac8a27",
+    4: "f9820b582372f428fcb2c438208fe43d916959780b7cb71535583e9a243e55c6",
+    5: "ac9fed16d5726b7741cb88543b9de0aacf8dcd186b79426dbe261daa7f601813",
+    6: "920137f644b2638960e4bd4c24cf954bd65cc03a58e4a5f39f98d27961d8d14f",
+    7: "58297e94f81e9de3fdcdd76546f06d53b3c3752385cc127230299cf280eadafb",
+    8: "ce7981e40c267af4b7a0d0638e79e44c1b5d1063e6f33bb30fd99c45b897b0a6",
+    9: "ef1188dbb8dba98043b06289768d8412a1d5972e1fdd1f7b382b5e075c28791d",
+    10: "78645dbacf99d7b58a0a0934ce5894688975398ee76a7ad438244c747188691d",
+    11: "8395d3f528b81420c42d1696c1faed0eac206834bb502ba0a40817cda7de33ca",
+    12: "5252647bc4b5b2c42db528b7b397f6a1fde0dcc5265abf59aef1116ab543bf10",
+    13: "e80124250508061511a83aff1e4b5107c0278ed55a6d971116c480ef7d101136",
+    20: "59108e60b6c68cb76716a91e25795c7a53f7dc15bcfe695e07c97b0a2a71a292",
+    40: "171d00f727bb7ef49cd26e61231d02eaeb824652b606b7f9ca5f811b4377ac82",
+    90: "6594eeb68d011adecb7c166b07b72759a81b7d00b306492ad904a1bcc89c95b1",
+}
+
+
+def audit_corpus(n):
+    """(graph, k, epsilon0, gamma, seed) for each corpus audit at size n."""
+    for k in (1, 2, 3, 5):
+        for i, (eps0, gamma) in enumerate(AUDIT_PARAMS):
+            rng = np.random.default_rng([n, k, i])
+            yield random_graph(rng, n, rng.uniform(0.1, 0.9)), k, eps0, gamma, i
+
+
+def test_audit_golden_corpus():
+    for n, digest in GOLDEN_AUDIT_CORPUS.items():
+        h = hashlib.sha256()
+        for g, k, eps0, gamma, seed in audit_corpus(n):
+            rep = audit_properties(g, k, epsilon0=eps0, gamma=gamma, seed=seed)
+            assert rep.exhaustive == (n <= kfactor.EXACT_AUDIT_CAP)
+            h.update(rep.to_json().encode())
+        assert h.hexdigest() == digest, n
+
+
+def test_audit_sampled_never_beats_exact():
+    # on P1-P5 the sampled audit draws only pairs the exact one enumerates,
+    # so its worst margin cannot undercut the exhaustive minimum.  P6 is
+    # left out: only the sampled audit admits an empty S there
+    for n in (5, 9, 12):
+        for g, k, eps0, gamma, seed in audit_corpus(n):
+            exact = kfactor._audit_exact(g, k, eps0, gamma)
+            sampled = kfactor._audit_sampled(g, k, eps0, gamma, 600, seed)
+            for e, s in zip(exact[:5], sampled[:5]):
+                assert e.name == s.name
+                if s.mode == "vacuous":
+                    continue
+                assert e.mode == "exact"
+                assert s.worst_margin >= e.worst_margin, (n, k, eps0, e.name)
+                assert s.violations == 0 or e.violations > 0
