@@ -5,11 +5,13 @@ per free vertex, grown until it reaches another free vertex (augment) or
 runs out.  Blossom bases form a union-find (Gabow, JACM 23, 1976): an odd
 cycle is contracted by linking the bases of the blossoms along it to the
 base closest to the root, and its inner vertices, in the order the search
-first reached them, join the queue as outer vertices.  A contraction thus
-costs the length of the cycle it walks, not the size of the tree.  A
-single pass over the free vertices suffices for maximality; the worst case
-stays O(V^3), since a walk still steps through the interior of nested
-blossoms.
+first reached them, join the queue as outer vertices.  Finding the cycle's
+base climbs from one end all the way to the root, then from the other end
+to the first base that climb marked, so a contraction costs the depth of
+that first end in the tree, not just the length of the cycle it relinks.
+A single pass over the free vertices suffices for maximality; the worst
+case stays O(V^3), since a walk still steps through the interior of
+nested blossoms.
 
 A seed matching is grown, never torn down.  Unseeded calls start from the
 empty matching: the search from a root with a free neighbor matches it to

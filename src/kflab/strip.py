@@ -22,8 +22,9 @@ edges count with multiplicity in degrees and in the D2 threshold, while the
 W1-neighbor counts of D4/D5 are over distinct vertices.  The remainder K
 keeps the multiplicities and loops of its part of the input.
 
-The deletion loop runs on Python lists of ints (layout in StripState);
-numpy builds them, seeding the D1/D2 queue and its potential in one masked
+The deletion loop reads the host's cached CSR arrays through memoryviews
+and keeps the per-vertex state in Python lists and bytearrays (layout in
+StripState); numpy seeds the D1/D2 queue and its potential in one masked
 pass, and serves _finalize and the from-scratch checker.
 
 Debug runs assert the three queue-closure properties (a W1 vertex, and a
@@ -155,13 +156,14 @@ def strip_cap(
 class StripState:
     """Mutable engine state; single-owner, stepped by strip_step.
 
-    The per-vertex fields are Python lists: deg and deg_w0 (edge ends,
-    and those into W0), class_of, alive, w1n (distinct live W1 neighbors)
-    and in_q, the one queue flag, set when a rule first fires and cleared
-    only by deletion.  The heap holds the queued ids.  The host's CSR is
-    kept as three flat lists: xadj, nbr (neighbor ids) and nmult (their
-    multiplicities, all ones on a simple host).  numpy is used only to
-    build them, in _finalize and in check_state_invariants.
+    The per-vertex counts are Python lists: deg and deg_w0 (edge ends,
+    and those into W0), class_of and w1n (distinct live W1 neighbors).
+    alive and in_q are bytearrays; in_q is the one queue flag, set when a
+    rule first fires and cleared only by deletion.  The heap holds the
+    queued ids.  xadj, nbr (neighbor ids) and nmult (their multiplicities)
+    are memoryviews of the host's cached csr() arrays, not copies; on a
+    simple host nmult views a single 1 repeated.  numpy is used only to
+    build the state, in _finalize and in check_state_invariants.
     """
 
     def __init__(
@@ -195,9 +197,11 @@ class StripState:
         self.debug = debug
 
         xadj, adjv, adjm = core.csr()
-        self.xadj = xadj.tolist()
-        self.nbr = adjv.tolist()
-        self.nmult = [1] * len(self.nbr) if adjm is None else adjm.tolist()
+        if adjm is None:
+            adjm = np.broadcast_to(np.int64(1), adjv.shape)
+        self.xadj = memoryview(xadj)
+        self.nbr = memoryview(adjv)
+        self.nmult = memoryview(adjm)
 
         # edge ends from each vertex into W0, a loop inside W0 counting 2
         w0 = deg == k
@@ -218,9 +222,9 @@ class StripState:
         self.deg = deg.tolist()
         self.deg_w0 = deg_w0.tolist()
         self.class_of = np.where(w0, W0, R).tolist()
-        self.alive = [True] * n
+        self.alive = bytearray(b"\x01") * n
         self.w1n = [0] * n
-        self.in_q = q.tolist()
+        self.in_q = bytearray(q.tobytes())
         self.iteration = 0
         self.trace_rows: list[TraceRow] = []
         self.trace_rows.append(self._row(deleted=-1, enqueued=len(self.heap)))
@@ -234,16 +238,6 @@ class StripState:
         return [
             (u, m) for u, m in zip(self.nbr[a:b], self.nmult[a:b]) if alive[u]
         ]
-
-    def _move_to_w1(self, u: int) -> list[tuple[int, int]]:
-        """Move u from R to W1; returns its live neighbors."""
-        self.class_of[u] = W1
-        self.n_r -= 1
-        self.n_w1 += 1
-        neighbors = self._live_neighbors(u)
-        for z, _ in neighbors:
-            self.w1n[z] += 1
-        return neighbors
 
     def _row(self, deleted: int, enqueued: int) -> TraceRow:
         # queued vertices leave the heap only when deleted, so the heap
@@ -267,90 +261,108 @@ def strip_step(state: StripState) -> TraceRow:
     # the full recomputation is O(n + m), so large debug runs stride it
     if s.debug and s.iteration % (1 if s.n <= 2000 else 200) == 0:
         check_state_invariants(s)
-    if not s.heap:
+    heap = s.heap
+    if not heap:
         return s._row(deleted=-1, enqueued=0)
-    v = heapq.heappop(s.heap)
+    v = heapq.heappop(heap)
     s.iteration += 1
-    k, deg, deg_w0, class_of = s.k, s.deg, s.deg_w0, s.class_of
-    in_q, w1n = s.in_q, s.w1n
-    v_cls = class_of[v]
-    neighbors = s._live_neighbors(v)
+    k, xadj, nbr, nmult = s.k, s.xadj, s.nbr, s.nmult
+    deg, deg_w0, class_of = s.deg, s.deg_w0, s.class_of
+    alive, in_q, w1n = s.alive, s.in_q, s.w1n
+    A, B, D = s.A, s.B, s.D
+    n_w0, n_w1, n_r = s.n_w0, s.n_w1, s.n_r
 
     # 2a: remove v from the graph and the queue, with its potential share
-    s.alive[v] = False
-    in_q[v] = False
+    v_cls = class_of[v]
+    alive[v] = in_q[v] = 0
     if v_cls == W0:
-        s.A -= deg_w0[v]
-        s.n_w0 -= 1
+        A -= deg_w0[v]
+        n_w0 -= 1
     else:
-        s.B -= deg_w0[v]
+        B -= deg_w0[v]
         if v_cls == W1:
-            s.n_w1 -= 1
+            n_w1 -= 1
         else:
-            s.n_r -= 1
-    s.D -= deg[v] - deg_w0[v]
+            n_r -= 1
+    D -= deg[v] - deg_w0[v]
 
-    for u, m in neighbors:
+    # flag(w) is the step's one enqueue; each caller has checked that w is
+    # not yet in Q, and w joins Q (in_q) as it is found
+    flagged: list[int] = []
+
+    def flag(w: int) -> None:
+        in_q[w] = 1
+        flagged.append(w)
+
+    # one walk over v's live neighbors: their degrees and potential shares,
+    # then D3 on each
+    neighbors: list[int] = []
+    a, b = xadj[v], xadj[v + 1]
+    for u, m in zip(nbr[a:b], nmult[a:b]):
+        if not alive[u]:
+            continue
+        neighbors.append(u)
         deg[u] -= m
         if v_cls == W0:
             deg_w0[u] -= m
             if in_q[u]:
                 if class_of[u] == W0:
-                    s.A -= m
+                    A -= m
                 else:
-                    s.B -= m
+                    B -= m
         elif in_q[u]:
-            s.D -= m
-    if v_cls == W1:
-        for u, _ in neighbors:
+            D -= m
+        if v_cls == W1:
             w1n[u] -= 1
+        if deg[u] < k and not in_q[u]:
+            flag(u)
 
     # 2b: R neighbors whose degree fell to at most k move to W1, each with
-    # its live neighborhood, walked once
-    moved = [
-        (u, s._move_to_w1(u))
-        for u, _ in neighbors
-        if class_of[u] == R and deg[u] <= k
-    ]
+    # its live neighbor ids, read once
+    moved = []
+    for u in neighbors:
+        if class_of[u] == R and deg[u] <= k:
+            class_of[u] = W1
+            a, b = xadj[u], xadj[u + 1]
+            u_neighbors = [z for z in nbr[a:b] if alive[z]]
+            for z in u_neighbors:
+                w1n[z] += 1
+            moved.append((u, u_neighbors))
+    n_r -= len(moved)
+    n_w1 += len(moved)
 
-    # 2c phase 1: D3 on the touched neighborhood, D5 on movers, D4/D5 around
-    # movers; all conditions read the post-move state, and a vertex joins Q
-    # (in_q) as it is found.  A mover may so see an R vertex that D4 flagged
-    # earlier in this loop; phase 2 would flag that mover from it anyway.
-    flagged: list[int] = []
-
-    def flag(w: int) -> None:
-        if not in_q[w]:
-            in_q[w] = True
-            flagged.append(w)
-
-    for u, _ in neighbors:
-        if deg[u] < k:
-            flag(u)
+    # 2c phase 1: D5 on movers and D4/D5 around them, reading the post-move
+    # state.  A mover may so see an R vertex that D4 flagged earlier in
+    # this loop; phase 2 would flag that mover from it anyway.
     for u, u_neighbors in moved:
-        if w1n[u] >= 1 or any(class_of[z] == R and in_q[z] for z, _ in u_neighbors):
+        if not in_q[u] and (
+            w1n[u] >= 1 or any(class_of[z] == R and in_q[z] for z in u_neighbors)
+        ):
             flag(u)
-        for z, _ in u_neighbors:
+        for z in u_neighbors:
             cls = class_of[z]  # D5: a W1 z gained the W1 neighbor u; or D4
-            if cls == W1 or (cls == R and w1n[z] >= 2):
+            if (cls == W1 or (cls == R and w1n[z] >= 2)) and not in_q[z]:
                 flag(z)
 
     # 2c phase 2: push each flagged vertex with its potential share; a
     # flagged R vertex flags its W1 neighbors (D5), which this same loop
     # then reaches at the end of the list
     for z in flagged:
-        heapq.heappush(s.heap, z)
+        heapq.heappush(heap, z)
         cls = class_of[z]
         if cls == W0:
-            s.A += deg_w0[z]
+            A += deg_w0[z]
         else:
-            s.B += deg_w0[z]
-        s.D += deg[z] - deg_w0[z]
+            B += deg_w0[z]
+        D += deg[z] - deg_w0[z]
         if cls == R:
-            for w, _ in s._live_neighbors(z):
-                if class_of[w] == W1:
+            a, b = xadj[z], xadj[z + 1]
+            for w in nbr[a:b]:
+                if alive[w] and class_of[w] == W1 and not in_q[w]:
                     flag(w)
 
+    s.A, s.B, s.D = A, B, D
+    s.n_w0, s.n_w1, s.n_r = n_w0, n_w1, n_r
     enqueued = len(flagged)
     if s.debug:
         assert enqueued <= 4 * k * k, (
@@ -358,19 +370,21 @@ def strip_step(state: StripState) -> TraceRow:
         )
         # deleting v, moving movers to W1 and enqueueing can break closure
         # only at these vertices; enqueueing never breaks it at a neighbor
-        touched = [u for u, _ in neighbors] + flagged
+        touched = neighbors + flagged
         for _, u_neighbors in moved:
-            touched.extend(z for z, _ in u_neighbors)
+            touched.extend(u_neighbors)
         _check_closure(s, set(touched))
-    s.trace_rows.append(s._row(deleted=v, enqueued=enqueued))
-    return s.trace_rows[-1]
+    row = TraceRow(s.iteration, v, len(heap), n_w0, n_w1, n_r, A, B, D,
+                   A + k * B + s.k7b * D, enqueued)
+    s.trace_rows.append(row)
+    return row
 
 
 def _finalize(state: StripState, halted_reason: str) -> StripResult:
     s = state
     if s.debug:
         check_state_invariants(s)
-    K, kept = s.core.induced_subgraph(s.alive)
+    K, kept = s.core.induced_subgraph(np.frombuffer(s.alive, dtype=bool))
     return StripResult(
         K=K,
         kept=kept,
@@ -475,7 +489,7 @@ def check_state_invariants(state: StripState) -> None:
                 deg_w0[v] += m
             if s.class_of[u] == W1:
                 w1n[v] += 1
-    live = np.array(s.alive, dtype=bool)
+    live = np.frombuffer(s.alive, dtype=bool)
     for scratch, tracked, what in (
         (deg, s.deg, "degree bookkeeping"),
         (deg_w0, s.deg_w0, "deg_w0 bookkeeping"),
@@ -489,7 +503,7 @@ def check_state_invariants(state: StripState) -> None:
     assert s.n_w1 == int(np.sum(live & (cls == W1)))
     assert s.n_r == int(np.sum(live & (cls == R)))
 
-    q = live & np.array(s.in_q, dtype=bool)
+    q = live & np.frombuffer(s.in_q, dtype=bool)
     A = int(np.sum(deg_w0[q & (cls == W0)]))
     B = int(np.sum(deg_w0[q & (cls != W0)]))
     D = int(np.sum((deg - deg_w0)[q]))

@@ -282,12 +282,12 @@ def test_strip_output_subgraph_property(seed, k):
 
 # ------------------------------------------------------------- golden traces
 
-def golden_cases():
+def golden_cases(sizes=(300, 3000, 20000)):
     """Seeded k-cores of G(n, (c_k+0.5)/n) and configuration multigraphs on
     their degree sequences, each stripped with beta 0.1 (halts at
     cap_reached) and 1.0 (halts at Q_empty)."""
     for k in (3, 4, 5, 6):
-        for n in (300, 3000, 20000):
+        for n in sizes:
             seed = spawn_seed(8, "golden", k, n)
             core = k_core(gen_gnp(n, c_k_threshold(k)[0] + 0.5, seed), k).core
             multi = to_multigraph(
@@ -374,6 +374,61 @@ def test_golden_strip_traces():
         reasons.add(res.halted_reason)
     assert reasons == {"Q_empty", "cap_reached"}
     assert digests == GOLDEN_STRIP_DIGESTS
+
+
+def test_golden_strip_traces_with_debug():
+    # the debug checks read the same state as the deletion loop and must
+    # leave the run unchanged
+    ran = 0
+    for name, host, k, n, beta in golden_cases(sizes=(300, 3000)):
+        res = run_strip(host, k, beta_override=beta, ambient_n=n, debug=True)
+        assert strip_digest(res) == GOLDEN_STRIP_DIGESTS[name], name
+        ran += 1
+    assert ran == 32
+
+
+# the 5-core of G(50000, (c_5+0.5)/n) with gen_gnp seed 1 or 2, and the
+# configuration multigraph on its degree sequence: the scan's own size
+SCAN_SIZE_STRIP_DIGESTS = {
+    "seed1-simple": "842ad39be73c104a",
+    "seed1-multigraph": "1f6d034c134d7217",
+    "seed2-simple": "e977f1c3251fe2f4",
+    "seed2-multigraph": "0bc5bb567805611e",
+}
+
+
+def test_scan_size_strip_digests():
+    k, n = 5, 50000
+    digests = {}
+    for seed in (1, 2):
+        core = k_core(gen_gnp(n, c_k_threshold(k)[0] + 0.5, seed), k).core
+        multi = to_multigraph(
+            sample_configuration(core.degrees, spawn_seed(seed, "config"))
+        )
+        for mode, host in (("simple", core), ("multigraph", multi)):
+            res = run_strip(host, k, beta_override=0.1, ambient_n=n)
+            assert res.halted_reason == "cap_reached"
+            digests[f"seed{seed}-{mode}"] = strip_digest(res)
+    assert digests == SCAN_SIZE_STRIP_DIGESTS
+
+
+def test_state_reads_host_csr_without_copy():
+    core = random_core(3, 3, lo=40, hi=80)
+    multi = to_multigraph(
+        sample_configuration(core.degrees, spawn_seed(3, "config"))
+    )
+    assert multi.mult is not None
+    for host in (core, multi):
+        state = StripState(host, 3, beta_override=1.0)
+        xadj, adjv, adjm = host.csr()
+        views = [(state.xadj, xadj), (state.nbr, adjv)]
+        if adjm is not None:
+            views.append((state.nmult, adjm))
+        for view, array in views:
+            assert np.shares_memory(np.asarray(view), array)
+            assert list(view) == array.tolist()
+        if adjm is None:
+            assert list(state.nmult) == [1] * len(adjv)
 
 
 # ------------------------------------------------------------ multigraph mode
