@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,39 +49,43 @@ __all__ = [
 
 MODES = ("simple", "multigraph")
 
-CSV_HEADER = (
-    "c,trial,seed,core_size,strip_halted_reason,k_size,"
-    "k1,k2,k3,k4,factor_found,iterations,error,wall_time"
-)
-
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One pipeline run; every stage outcome in a flat, CSV-ready row."""
+    """One pipeline run; every stage outcome in a flat, CSV-ready row.
+
+    The fields, in order, are the CSV columns.  Each stage column defaults
+    to its value for a run that never reached that stage.
+    """
 
     c: float
     trial: int
     seed: int
-    core_size: int
-    strip_halted_reason: str  # empty_core | Q_empty | cap_reached | error
-    k_size: int
-    k1: bool
-    k2: bool
-    k3: bool
-    k4: bool
-    factor_found: bool
-    iterations: int
-    error: str
-    wall_time: float
+    core_size: int = 0
+    strip_halted_reason: str = "error"  # empty_core | Q_empty | cap_reached | error
+    k_size: int = 0
+    k1: bool = False
+    k2: bool = False
+    k3: bool = False
+    k4: bool = False
+    factor_found: bool = False
+    iterations: int = 0
+    error: str = ""
+    wall_time: float = 0.0
 
     def to_csv_row(self) -> str:
-        return (
-            f"{self.c:.10g},{self.trial},{self.seed},{self.core_size},"
-            f"{self.strip_halted_reason},{self.k_size},"
-            f"{int(self.k1)},{int(self.k2)},{int(self.k3)},{int(self.k4)},"
-            f"{int(self.factor_found)},{self.iterations},{self.error},"
-            f"{self.wall_time:.10g}"
-        )
+        return ",".join(_csv_cell(getattr(self, f.name)) for f in fields(self))
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return str(value)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ScanRecord))
 
 
 def records_to_csv(records) -> str:
@@ -143,8 +147,12 @@ def _strip_loops(g: Graph) -> Graph:
     return Graph(g.n, g.edge_array, _canonical=True, mult=g.mult)
 
 
-def _pipeline(n, c, k, seed, mode, beta_override, cap_multiplier):
-    """Full chain; returns (ScanRecord, certificate-or-None)."""
+def _pipeline(n, c, k, seed, trial, mode, beta_override, cap_multiplier):
+    """Full chain; returns (ScanRecord, certificate-or-None).
+
+    Each stage adds its columns to one row as it completes, so a run that
+    fails keeps what the earlier stages found and the defaults after.
+    """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if c < 0:
@@ -152,24 +160,18 @@ def _pipeline(n, c, k, seed, mode, beta_override, cap_multiplier):
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     t0 = time.perf_counter()
-    core_size = 0
-    reason = "error"
-    k_size = 0
-    rep = None
-    factor_found = False
-    iterations = 0
+    row = {}
     cert = None
-    error = ""
     stage = "gen"
     try:
         g = gen_gnp(n, c, seed)
         stage = "core"
         cr = k_core(g, k)
         del g  # the ambient edges and CSR are not needed past the peel
-        core_size = cr.core.n
-        if core_size == 0:
-            reason = "empty_core"
-            rep = verify_K(Graph(0, []), k, ambient_n=n)
+        row["core_size"] = cr.core.n
+        if cr.core.n == 0:
+            row["strip_halted_reason"] = "empty_core"
+            K = cr.core
         else:
             stage = "strip"
             if mode == "multigraph":
@@ -188,44 +190,26 @@ def _pipeline(n, c, k, seed, mode, beta_override, cap_multiplier):
             )
             stage = "parity"
             res = enforce_parity(res, k)
-            reason = res.halted_reason
-            iterations = res.iterations
-            k_size = res.K.n
-            stage = "verify"
-            rep = verify_K(res.K, k, ambient_n=n)
-            # the theorem's route needs the degree window and the parity
-            # to hold before a factor is even plausible; outside it the
-            # run already counts as a miss
-            if k_size > 0 and rep.k1 and rep.k4:
-                stage = "factor"
-                cert = find_k_factor(_strip_loops(res.K), k)
-                factor_found = cert is not None
+            K = res.K
+            row.update(
+                strip_halted_reason=res.halted_reason,
+                k_size=K.n,
+                iterations=res.iterations,
+            )
+        stage = "verify"
+        rep = verify_K(K, k, ambient_n=n)
+        row.update(k1=rep.k1, k2=rep.k2, k3=rep.k3, k4=rep.k4)
+        # the theorem's route needs the degree window and the parity
+        # to hold before a factor is even plausible; outside it the
+        # run already counts as a miss
+        if K.n > 0 and rep.k1 and rep.k4:
+            stage = "factor"
+            cert = find_k_factor(_strip_loops(K), k)
+            row["factor_found"] = cert is not None
     except Exception as exc:  # noqa: BLE001 - scans must never panic
-        error = f"{stage}:{type(exc).__name__}:{exc}".replace(",", ";")
-        cert = None
-        factor_found = False
-    wall = time.perf_counter() - t0
-    if rep is None:
-        k1 = k2 = k3 = k4 = False
-    else:
-        k1, k2, k4 = rep.k1, rep.k2, rep.k4
-        k3 = bool(rep.k3)
-    record = ScanRecord(
-        c=float(c),
-        trial=0,
-        seed=int(seed),
-        core_size=int(core_size),
-        strip_halted_reason=reason,
-        k_size=int(k_size),
-        k1=k1,
-        k2=k2,
-        k3=k3,
-        k4=k4,
-        factor_found=factor_found,
-        iterations=int(iterations),
-        error=error,
-        wall_time=wall,
-    )
+        row["error"] = f"{stage}:{type(exc).__name__}:{exc}".replace(",", ";")
+    row["wall_time"] = time.perf_counter() - t0
+    record = ScanRecord(c=float(c), trial=trial, seed=int(seed), **row)
     assert not record.factor_found or (record.k1 and record.k4)
     return record, cert
 
@@ -246,16 +230,13 @@ def run_pipeline(
     kept in multigraph mode) only when its degrees sit in [k, 2k] and k|K| is
     even, so factor_found = True implies those checks passed.
     """
-    record, _ = _pipeline(n, c, k, seed, mode, beta_override, cap_multiplier)
+    record, _ = _pipeline(n, c, k, seed, 0, mode, beta_override, cap_multiplier)
     return record
 
 
-def _scan_worker(args):
-    (ci, trial, n, c, k, seed, mode, beta_override, cap_multiplier) = args
-    record, cert = _pipeline(n, c, k, seed, mode, beta_override, cap_multiplier)
-    record = replace(record, trial=trial)
-    cert_json = cert.to_json() if record.factor_found and cert else None
-    return ci, trial, record, cert_json
+def _scan_worker(task):
+    record, cert = _pipeline(*task)
+    return record, None if cert is None else cert.to_json()
 
 
 def _constants_block(k: int):
@@ -264,13 +245,12 @@ def _constants_block(k: int):
     except DomainError:
         return None
     params = threshold_params(k)
-    asym = c_k_asymptotic(k)
     return {
         "c_k": c_k,
         "x_k": x_k,
-        # NaN when k sits outside the asymptotic domain; null keeps the
-        # summary valid JSON
-        "c_k_asymptotic": asym if math.isfinite(asym) else None,
+        # the expansion needs q_k = log k - log 2 pi > 0, which holds
+        # exactly from k = 7 on
+        "c_k_asymptotic": c_k_asymptotic(k) if k >= 7 else None,
         "beta": params.beta,
         "alpha": params.alpha,
         "c_min": params.c_min,
@@ -282,8 +262,8 @@ def scan(config: ScanConfig, threads: int = 1):
     """Run the grid; return (records, summary dict) and write any outputs.
 
     Trials are independent: seeds derive from (base_seed, point index,
-    trial), results are collected into one sink and sorted by grid point
-    and trial, so the output is identical for any thread count.
+    trial), and results come back in task order (grid point, then trial),
+    so the output is identical for any thread count.
     """
     config.validate()
     if threads < 1:
@@ -291,52 +271,43 @@ def scan(config: ScanConfig, threads: int = 1):
     grid = config.c_grid()
     tasks = [
         (
-            ci,
-            trial,
             config.n,
-            grid[ci],
+            c,
             config.k,
             spawn_seed(config.base_seed, "trial", ci, trial),
+            trial,
             config.mode,
             config.beta_override,
             config.cap_multiplier,
         )
-        for ci in range(len(grid))
+        for ci, c in enumerate(grid)
         for trial in range(config.trials)
     ]
     if threads == 1:
-        raw = [_scan_worker(t) for t in tasks]
+        results = [_scan_worker(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(_scan_worker, tasks))
-    raw.sort(key=lambda item: (item[0], item[1]))
-    records = [item[2] for item in raw]
+            results = list(pool.map(_scan_worker, tasks))
+    records = [record for record, _ in results]
 
-    cert_dir = config.certificate_dir
-    if config.emit_certificate and cert_dir is None:
-        cert_dir = config.out_csv + ".certs"
     if config.emit_certificate:
+        cert_dir = config.certificate_dir
+        if cert_dir is None:
+            cert_dir = config.out_csv + ".certs"
         os.makedirs(cert_dir, exist_ok=True)
-        for ci, trial, record, cert_json in raw:
+        for i, (record, cert_json) in enumerate(results):
             if cert_json is not None:
-                path = os.path.join(cert_dir, f"c{ci:03d}_t{trial:03d}.json")
+                ci = i // config.trials
+                path = os.path.join(cert_dir, f"c{ci:03d}_t{record.trial:03d}.json")
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(cert_json + "\n")
 
     points = []
     for ci, c in enumerate(grid):
-        rows = [r for (i, _, r, _) in raw if i == ci]
-        points.append(
-            {
-                "c": c,
-                "factor_found_rate": sum(r.factor_found for r in rows)
-                / len(rows),
-                "q_empty_rate": sum(
-                    r.strip_halted_reason == "Q_empty" for r in rows
-                )
-                / len(rows),
-            }
-        )
+        rows = records[ci * config.trials : (ci + 1) * config.trials]
+        found = sum(r.factor_found for r in rows) / len(rows)
+        q_empty = sum(r.strip_halted_reason == "Q_empty" for r in rows) / len(rows)
+        points.append({"c": c, "factor_found_rate": found, "q_empty_rate": q_empty})
     summary = {
         "k": config.k,
         "n": config.n,

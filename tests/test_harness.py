@@ -77,17 +77,36 @@ def test_factor_success_is_reachable():
     assert r.k1 and r.k4
 
 
-def test_stage_error_is_recorded(monkeypatch):
-    def boom(*args, **kwargs):
-        raise RuntimeError("synthetic failure")
+# rows without wall time when the named stage raises: the stages before it
+# keep their columns, every later column keeps its not-reached default
+STAGE_ERROR_ROWS = [
+    ("find_k_factor", (60, 1.2, 2), dict(seed=2, beta_override=1.0),
+     "1.2,0,2,5,Q_empty,5,1,1,0,1,0,0,factor:RuntimeError:x"),
+    ("verify_K", (60, 1.2, 2), dict(seed=2, beta_override=1.0),
+     "1.2,0,2,5,Q_empty,5,0,0,0,0,0,0,verify:RuntimeError:x"),
+    ("enforce_parity", (500, 5.0, 3), dict(seed=13, beta_override=1.0),
+     "5,0,13,440,error,0,0,0,0,0,0,0,parity:RuntimeError:x"),
+    ("run_strip", (200, 6.0, 3), dict(seed=2),
+     "6,0,2,189,error,0,0,0,0,0,0,0,strip:RuntimeError:x"),
+    ("k_core", (500, 5.0, 3), dict(seed=13, beta_override=1.0),
+     "5,0,13,0,error,0,0,0,0,0,0,0,core:RuntimeError:x"),
+    ("to_multigraph", (500, 5.0, 3),
+     dict(seed=13, beta_override=1.0, mode="multigraph"),
+     "5,0,13,440,error,0,0,0,0,0,0,0,strip:RuntimeError:x"),
+]
 
-    monkeypatch.setattr("kflab.harness.run_strip", boom)
-    r = run_pipeline(200, 6.0, 3, seed=2)
-    assert r.strip_halted_reason == "error"
-    assert r.error.startswith("strip:RuntimeError:")
-    assert "," not in r.error
+
+@pytest.mark.parametrize(
+    "stage,args,kwargs,row", STAGE_ERROR_ROWS, ids=[s[0] for s in STAGE_ERROR_ROWS]
+)
+def test_stage_error_is_recorded(monkeypatch, stage, args, kwargs, row):
+    def boom(*args, **kwargs):
+        raise RuntimeError("x")
+
+    monkeypatch.setattr(f"kflab.harness.{stage}", boom)
+    r = run_pipeline(*args, **kwargs)
+    assert r.to_csv_row().rsplit(",", 1)[0] == row
     assert not r.factor_found
-    assert (r.k1, r.k2, r.k3, r.k4) == (False, False, False, False)
 
 
 def test_pipeline_precondition_errors():
@@ -184,10 +203,21 @@ def test_golden_multigraph_scan_rows():
         assert [line.rsplit(",", 1)[0] for line in got] == [GOLDEN_ROWS[0]] + rows
 
 
-def test_scan_thread_invariance():
+def test_scan_thread_invariance(tmp_path):
     seq, _ = scan(GOLDEN_SCAN, threads=1)
     par, _ = scan(GOLDEN_SCAN, threads=4)
     assert rows_without_wall(seq) == rows_without_wall(par)
+    # certificate names take the grid index from the row's position; this
+    # k = 2 scan writes three certificates
+    certs = []
+    for threads in (1, 2):
+        cert_dir = tmp_path / f"certs{threads}"
+        scan(ScanConfig(k=2, n=60, c_from=0.6, c_to=1.4, steps=3, trials=10,
+                        base_seed=21, beta_override=1.0, emit_certificate=True,
+                        certificate_dir=str(cert_dir)), threads=threads)
+        certs.append({p.name: p.read_bytes() for p in cert_dir.iterdir()})
+    assert len(certs[0]) == 3
+    assert certs[0] == certs[1]
 
 
 def test_scan_sorted_and_rates():
