@@ -341,81 +341,103 @@ def test_gadget_graph_is_the_canonical_gadget():
 
 
 # sha256 of the int64 bytes of the seed mate find_k_factor hands to
-# maximum_matching followed by the mate it gets back, on 4-cores of
-# G(600, (c_4 + 0.2)/n) by gen_gnp seed; recorded before the gadget route
-# moved to arrays, so both mates are pinned to the loop-based build.
+# maximum_matching, then of the mate it gets back, on 4-cores of
+# G(600, (c_4 + 0.2)/n) by gen_gnp seed.  The seed half is fixed by the
+# gadget and the greedy seed alone; the returned half is one maximum
+# matching, so it pins the engine's tie-breaking.
 GOLDEN_MATES = [
-    (3, False, "638f49fa884640cfecf2fb2c17761ead9214d1ba770bfb41464872152d1a0cc5"),
-    (5, False, "f70cb4fd017a2352c70578e3f74f6b80945357cf770b586d2c98feb1414b4a33"),
-    (8, True, "fededb3c9e71b60bd31fc8b9d52aacf04f9ea27cd7ce16b826f0bc13496fdcb3"),
-    (13, False, "ec87b4cf729c830f5bef0bded7844ed9a4d99446960d59ee4f981e3d578083b5"),
-    (21, False, "b467bdca1d59ae6d4d975c32abd20c855df6d6910927d0205cd2514868d4327a"),
-    (34, False, "a3d81a856b6c70bd6801d57a882ffe1c59b62249bee2048cd9c8fe95491e2534"),
-    (55, False, "6bf0b839b291743b0c2e353c1b8dc386aaaf9aa9f40685da1c44f6fee768b619"),
-    (236, True, "d56638bfd587c0d7ab64c8e2c8d9fe6ad6f9f1a72c2d088e5881a0fdf3a066b0"),
+    (3, False, "91d0b51da4e404b89378eca1db7d51ff63c48a89a9f1d0e4d24d226676cf5ab5",
+     "1ec5c1769a02065f9c23e4e4aadec5c9cd26d0d24451dff1ef5d5c62a6712abc"),
+    (5, False, "64bbf4a54923af6fea8cfd9f5609bdcfccff59727cd63f55a663f28172fbc1d7",
+     "64bbf4a54923af6fea8cfd9f5609bdcfccff59727cd63f55a663f28172fbc1d7"),
+    (8, True, "59145e5c4afd6a2e1cc29e9d6323c5cf368ee6a1677f722607e23b159ec6ef12",
+     "38f9c65f89d2da1f29dd0b99946a80a532e5e0e82ecd7140ecd99355d1cef5da"),
+    (13, False, "f6d0b87f2d67a7d724272aa669cd56ad8803bb6b0f6f67ffe7dc88940f591647",
+     "827f92171f8fc121b8d0ca8d71d8a33bcd39d849c0b1ed5a61bf2ea9f7c1143b"),
+    (21, False, "dc0a7cb7e3f35ca68bef3328e682c74599f2a7d425cc808c386fb4cf6da1261b",
+     "17c21246448602cd1dbad06fc303721d6d833ce67ecf3adb625189640dafddb4"),
+    (34, False, "48709e9084d08d8bcb9b86021663b963645951676a3579594e856c7288af0c0f",
+     "48709e9084d08d8bcb9b86021663b963645951676a3579594e856c7288af0c0f"),
+    (55, False, "31d6368555b7bacde3338266014aafeda8e26bf78933b26da929dc2159c9bf45",
+     "748b8d20f75f106780ce32b5f31150bacf27c5756dfa4bf871d08c82940f4168"),
+    (236, True, "8b9e35b19de98d30f28feeff428e8dd8afa32506c5cf028feabd1a445b3d2099",
+     "d323c41791040ec2cf007fd17deaf1cdb5ea241700468fc509772e9bea5cffef"),
 ]
 
 
-def test_factor_golden_mates(monkeypatch):
+def spy_on_matching(monkeypatch):
+    """Record (seed mate, returned mate) of every maximum_matching call
+    find_k_factor makes, as int64 bytes."""
     calls = []
 
     def spy(n, edges, seed_mate=None):
         mate = maximum_matching(n, edges, seed_mate=seed_mate)
-        calls.append(np.asarray(seed_mate, dtype=np.int64).tobytes()
-                     + np.asarray(mate, dtype=np.int64).tobytes())
+        calls.append((np.asarray(seed_mate, dtype=np.int64).tobytes(),
+                      np.asarray(mate, dtype=np.int64).tobytes()))
         return mate
 
     monkeypatch.setattr(kfactor, "maximum_matching", spy)
-    for seed, found, digest in GOLDEN_MATES:
+    return calls
+
+
+def check_golden_mates(calls, host, found, seed_digest, mate_digest, tag):
+    calls.clear()
+    cert = find_k_factor(host, 4)
+    assert (cert is not None) == found, tag
+    assert cert is None or verify_k_factor(host, cert.edges, 4), tag
+    assert len(calls) == 1
+    assert hashlib.sha256(calls[0][0]).hexdigest() == seed_digest, tag
+    assert hashlib.sha256(calls[0][1]).hexdigest() == mate_digest, tag
+
+
+def test_factor_golden_mates(monkeypatch):
+    calls = spy_on_matching(monkeypatch)
+    for seed, found, seed_digest, mate_digest in GOLDEN_MATES:
         core = k_core(gen_gnp(600, c_k_threshold(4)[0] + 0.2, seed), 4).core
-        calls.clear()
-        assert (find_k_factor(core, 4) is not None) == found, seed
-        assert len(calls) == 1
-        assert hashlib.sha256(calls[0]).hexdigest() == digest, seed
+        check_golden_mates(calls, core, found, seed_digest, mate_digest, seed)
 
 
-# The same digest on more hosts, recorded before the engine read the
-# gadget's CSR directly.  "config": configuration multigraphs with parallel
-# edges, pairing the degrees of the 4-core of G(300, (c_4 + 0.2)/n) by
-# sample_configuration with the same seed, loops stripped as a scan strips
-# them.  "gnp": 4-cores as in GOLDEN_MATES whose search reaches an outer
-# node through the first node labelled inner, so a p-validity test that
-# drops the search's first label changes their mates.
+# The same digests on more hosts.  "config": configuration multigraphs
+# with parallel edges, pairing the degrees of the 4-core of
+# G(300, (c_4 + 0.2)/n) by sample_configuration with the same seed, loops
+# stripped as a scan strips them.  "gnp": 4-cores as in GOLDEN_MATES
+# whose search reaches an outer node through the first node labelled
+# inner, so a p-validity test that drops the search's first label changes
+# their mates.
 GOLDEN_MORE_MATES = [
-    ("config", 1, False, "7b0780150d85fd2273bdfd09910f46c600ba5633a5bf383b8496de9b21732e89"),
-    ("config", 4, False, "3eb460dae01d5744f15e11b332c6e42cf206242358537e62c9c26131a7f9bedb"),
-    ("config", 7, False, "c85f31b0ba4321580d8192935a8cb53c1f48ff39865dfdae503c5e17583b3fd8"),
-    ("config", 8, True, "cf2ac2e491629de632d1ce79f82b456026ebac4c4693187f5700d3dabc0476a0"),
-    ("config", 11, True, "211f6cfa13229f2e7d9c157f366fc2d43f1089e23752b4a82cef97234cd4485c"),
-    ("config", 12, False, "7926b45b6fc54adc108a720ee420c92848a6199d75aa6a5fff66b032d08625f9"),
-    ("config", 13, True, "4e78c0e52b2d76669b652a4e3d986d421990bb13428223c140ccc3edb9af1925"),
-    ("config", 14, False, "dceca32ea8b4e1cb2dd81823bf40b64d02aa4b25166dccc9a9127d3d1df74df5"),
-    ("gnp", 29, False, "4e2ce2401aa25dcb6a339eb52bccfd8f9eaaa8d95d9b89685f09a96c2f955806"),
-    ("gnp", 60, False, "2bfa2198e46364982d8869a84414b9b01ea1e63feee1c40c2b0264ac5d24160a"),
+    ("config", 1, False, "5ad7dad0170603409e6be21127c189ca955533513ddc95550fc33706dc148d35",
+     "741d64e55031880c2b73f0f86924272b95c3bab6606f7dab31c87a57ff947ee5"),
+    ("config", 4, False, "fb8a3d04a6125acfd075df752d29586712f9a0f1267ed9fde42f26c8f4bded2b",
+     "a4de9abe5f9ecfc75bf895c603b40b3e857775d8b8ccc84142ea37a4bef35e8b"),
+    ("config", 7, False, "307a5913f21491829c6d7c50b65d62e11cc4f0010e1f8110cbdbec708e80e322",
+     "b97c5db2ce60458220b2a6d6df03d14009789a738ce5d7362fbcb49b9a0d4fa8"),
+    ("config", 8, True, "e489599421898170900ea95341b9073f564b2cb8505079cd92cef019fe2205c9",
+     "55c66e14d3cd8f1a4e00df84e5f3e3a2db95d4dd057367dfcb62582eeee3a17d"),
+    ("config", 11, True, "5a8f20328267ac1ce19a9ba1f2a25982707ae492f7727c900d4dac4a426c3d6a",
+     "886f889105b663be75fce0b272c23994c44211c1b72e2d37c2e2be0d8b34cfbb"),
+    ("config", 12, False, "292ba6ef979d62f3146eb0bd79933d2a761c86fc6311962f76132e97b559df82",
+     "bd258a3137f97b99674e14a9e1e12f3f8c061ff54bcf48f3483a693ba78989f3"),
+    ("config", 13, True, "8068c3f84a99261ce5ac4e87d78e14708910ae5abc69e983604e526356d1164d",
+     "41a613a36fb027a261d1b5b0eacbf71abf2bdaac63661113d924d53ac7c5838e"),
+    ("config", 14, False, "215c401485c496b45cd1adaac9459a1fd117033be1c21859c4455632e6fcc180",
+     "4ec1e2768b8d8fef53396187d7f915778f11d4ce86971d86168384f46c7a61c6"),
+    ("gnp", 29, False, "bbc76cf18c9b6f4af5686f567652b66a06391079cc253fd1ac171faac2e6989c",
+     "a95103e139b468876c9c11b61c6658c18d2987e7b980e3d91cb13d07eb1831ea"),
+    ("gnp", 60, False, "14901f02b90c99751c9939cb891bd564fe4b86c8eaa1749be399047123c60d44",
+     "a0c6da25b41b426f944205eb8416529d27c86eee5b4c3dcfc6514bc2f0f9d114"),
 ]
 
 
 def test_factor_golden_more_mates(monkeypatch):
-    calls = []
-
-    def spy(n, edges, seed_mate=None):
-        mate = maximum_matching(n, edges, seed_mate=seed_mate)
-        calls.append(np.asarray(seed_mate, dtype=np.int64).tobytes()
-                     + np.asarray(mate, dtype=np.int64).tobytes())
-        return mate
-
-    monkeypatch.setattr(kfactor, "maximum_matching", spy)
-    for kind, seed, found, digest in GOLDEN_MORE_MATES:
+    calls = spy_on_matching(monkeypatch)
+    for kind, seed, found, seed_digest, mate_digest in GOLDEN_MORE_MATES:
         if kind == "config":
             degrees = k_core(gen_gnp(300, c_k_threshold(4)[0] + 0.2, seed), 4).core.degrees
             host = _strip_loops(to_multigraph(sample_configuration(degrees, seed)))
             assert host.mult is not None and np.any(host.mult > 1), seed
         else:
             host = k_core(gen_gnp(600, c_k_threshold(4)[0] + 0.2, seed), 4).core
-        calls.clear()
-        assert (find_k_factor(host, 4) is not None) == found, (kind, seed)
-        assert len(calls) == 1
-        assert hashlib.sha256(calls[0]).hexdigest() == digest, (kind, seed)
+        check_golden_mates(calls, host, found, seed_digest, mate_digest, (kind, seed))
 
 
 def count_perfect_matchings(n, edges):
@@ -534,7 +556,54 @@ def test_factor_golden_certificates():
         core = k_core(gen_gnp(n, c_k_threshold(k)[0] + offset, seed), k).core
         cert = find_k_factor(core, k)
         assert cert is not None, (k, seed)
+        assert verify_k_factor(core, cert.edges, k), (k, seed)
         assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest, (k, seed)
+
+
+def corpus_hosts():
+    """k-cores of G(n, (c_k + delta)/n), k = 3..6, n <= 300, each followed
+    by a configuration multigraph on its degrees with loops stripped as a
+    scan strips them."""
+    for k in (3, 4, 5, 6):
+        c = c_k_threshold(k)[0]
+        for seed in range(230):
+            n = (100, 150, 200, 300)[seed % 4]
+            core = k_core(gen_gnp(n, c + (0.3, 1.0, 2.0)[seed % 3], seed), k).core
+            yield k, core
+            yield k, _strip_loops(to_multigraph(sample_configuration(core.degrees, seed)))
+
+
+# sha256 over "found,exposed;" per corpus host, exposed being the gadget
+# nodes maximum_matching leaves exposed (-1 when find_k_factor decides
+# without it).  Any maximum matching leaves the same number exposed, so
+# this pins the verdicts and the matching's size, not its tie-breaking.
+CORPUS_DIGEST = "ecad6a734c07d009f6c7141f81daac16cce2075b9b37014a18c2a491e8ad5b21"
+
+
+def test_factor_corpus_verdicts_and_exposed(monkeypatch):
+    calls = spy_on_matching(monkeypatch)
+    h = hashlib.sha256()
+    matched = 0
+    for k, host in corpus_hosts():
+        calls.clear()
+        cert = find_k_factor(host, k)
+        exposed = np.count_nonzero(np.frombuffer(calls[0][1], np.int64) == -1) if calls else -1
+        matched += bool(calls)
+        h.update(f"{int(cert is not None)},{exposed};".encode())
+    assert matched >= 1000
+    assert h.hexdigest() == CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_factor_scan_size_core_leaves_ten_exposed(monkeypatch, seed):
+    # the 5-cores of G(50000, (c_5 + 0.5)/n), 38,744 and 38,550 vertices:
+    # the greedy seed leaves dozens of gadget nodes exposed, and the
+    # matching augments across a large part of the gadget before ten are left
+    calls = spy_on_matching(monkeypatch)
+    core = k_core(gen_gnp(50000, c_k_threshold(5)[0] + 0.5, seed), 5).core
+    assert find_k_factor(core, 5) is None
+    assert len(calls) == 1
+    assert np.count_nonzero(np.frombuffer(calls[0][1], np.int64) == -1) == 10
 
 
 # ----------------------------------------------------- verify_k_factor

@@ -132,6 +132,15 @@ def test_networkx_agreement_medium():
         g.add_nodes_from(range(n))
         oracle = nx.max_weight_matching(g, maxcardinality=True)
         assert size_of(mate) == len(oracle)
+        # every other matched pair as a seed: grown to the same size, and
+        # every seeded vertex stays matched
+        seed = [-1] * n
+        for u, v in matched_pairs(mate)[::2]:
+            seed[u], seed[v] = v, u
+        again = maximum_matching(n, edges, seed_mate=seed)
+        assert_valid(again, n, edges)
+        assert size_of(again) == len(oracle)
+        assert all(again[v] >= 0 for v in range(n) if seed[v] >= 0)
 
 
 def test_seed_mate_is_grown():
