@@ -23,11 +23,20 @@ from .errors import DomainError
 __all__ = ["Graph", "parse_edge_text", "format_edge_text"]
 
 
+def _int64(values, what: str) -> np.ndarray:
+    """values as an int64 array; DomainError if the cast changes one."""
+    raw = np.asarray(values)
+    arr = raw.astype(np.int64, copy=False)
+    if arr is not raw and np.any(arr != raw):
+        raise DomainError(f"{what} must be integers")
+    return arr
+
+
 def _pairs(n: int, edges) -> np.ndarray:
     """Edges as an (m, 2) int64 array with every endpoint in [0, n)."""
     if n < 0:
         raise DomainError(f"vertex count must be >= 0, got {n}")
-    arr = np.asarray(edges, dtype=np.int64)
+    arr = _int64(edges, "edge endpoints")
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:

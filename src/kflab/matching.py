@@ -30,7 +30,7 @@ from collections import deque
 import numpy as np
 
 from .errors import DomainError
-from .graphs import Graph
+from .graphs import Graph, _int64
 
 __all__ = ["maximum_matching", "perfect_matching_exists"]
 
@@ -198,7 +198,7 @@ def maximum_matching(n: int, edges, seed_mate=None) -> np.ndarray:
         g = edges
     else:
         g = Graph.from_pairs(n, edges)
-    seed = np.asarray(np.full(n, -1) if seed_mate is None else seed_mate, dtype=np.int64)
+    seed = _int64(np.full(n, -1) if seed_mate is None else seed_mate, "seed_mate")
     if seed.shape != (n,):
         raise DomainError("seed_mate length must equal n")
     v = np.flatnonzero(seed != -1)

@@ -170,6 +170,12 @@ def test_seed_mate_validation():
         maximum_matching(2, [(0, 1)], seed_mate=[5, -1])  # mate out of range
     with pytest.raises(DomainError):
         maximum_matching(2, [(0, 1)], seed_mate=[-3, -1])  # negative, not -1
+    with pytest.raises(DomainError):
+        maximum_matching(2, [(0, 1)], seed_mate=np.array([1.0, 0.9]))  # not integral
+    with pytest.raises(DomainError):
+        maximum_matching(3, np.array([[0, 1.7]]))  # endpoint not integral
+    # integral floats are vertex ids
+    assert maximum_matching(2, [(0.0, 1.0)], seed_mate=[1.0, 0.0]).tolist() == [1, 0]
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DomainError):
         maximum_matching(4, g, seed_mate=[2, -1, 0, -1])  # non-edge, Graph input

@@ -251,6 +251,12 @@ def test_multigraph_from_pairs():
         Graph(2, [(0, 1), (1, 0)])
     with pytest.raises(DomainError):
         Graph(2, [(1, 1)])
+    # endpoints must be integers, not values an int64 cast would truncate
+    with pytest.raises(DomainError):
+        Graph(3, np.array([[0, 1.7]]))
+    with pytest.raises(DomainError):
+        Graph.from_pairs(3, np.array([[0, 1.7]]))
+    assert Graph(3, np.array([[0.0, 1.0]])) == Graph(3, [(0, 1)])
 
 
 def test_rows_of():
