@@ -1,23 +1,34 @@
 """Maximum cardinality matching in general graphs.
 
-Edmonds blossom contraction in its array form: one alternating BFS tree
-per free vertex, grown until it reaches another free vertex (augment) or
-runs out.  Blossom bases form a union-find (Gabow, JACM 23, 1976): an odd
-cycle is contracted by linking the bases of the blossoms along it to the
-base closest to the root, and its inner vertices, in the order the search
-first reached them, join the queue as outer vertices.  Finding the cycle's
-base climbs from one end all the way to the root, then from the other end
-to the first base that climb marked, so a contraction costs the depth of
-that first end in the tree, not just the length of the cycle it relinks.
-A single pass over the free vertices suffices for maximality; the worst
-case stays O(V^3), since a walk still steps through the interior of
-nested blossoms.
+Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965) in phases,
+as Hopcroft and Karp phase bipartite matching (SIAM J. Comput. 2, 1973).
+Each phase grows one alternating forest from every exposed vertex at
+once, each such vertex the outer root of its own tree, scanning outer
+vertices in FIFO order.  An unlabelled neighbour is matched, so it joins
+the tree as inner and its mate as outer.  An edge between two outer
+vertices of one tree closes an odd cycle, which is contracted: blossom
+bases form a union-find (Gabow, JACM 23, 1976), the bases along the cycle
+are linked to the one nearest the root, and the cycle's inner vertices
+join the queue as outer.  An edge between outer vertices of two live
+trees closes an augmenting path: both root paths flip and the edge is
+matched.  Both trees are then dead for the rest of the phase: the queue
+skips their vertices and their vertices stop every edge that reaches
+them.  Phases repeat until one augments nothing; in that last phase every
+tree grew to completion with no edge joining two of them, which is
+Edmonds' proof that the matching is maximum.
 
-A seed matching is grown, never torn down.  Unseeded calls start from the
-empty matching: the search from a root with a free neighbor matches it to
-the first one, which is all a greedy pre-pass would do.  All per-search
-bookkeeping resets lazily through stamps, so a search costs time
-proportional to the subgraph it explores, not to the whole graph.
+Every phase but the last augments, so there are at most n/2 + 1 phases.
+A phase's state (parent pointers p, union-find bases, outer labels and
+the root of each labelled vertex) is a handful of plain lists allocated
+fresh when the phase starts.  A phase scans each edge at most twice, but a
+contraction's walk steps through the interior of the nested blossoms on
+its cycle, so a phase is O(V^2) in the worst case and the whole O(V^3).
+
+A seed matching is grown, never torn down: augmenting paths only add
+matched vertices.  Unseeded calls start from the empty matching, and the
+first phase pairs exposed neighbours, which is all a greedy pre-pass
+would do.  Ties are broken by vertex id: roots are queued ascending and
+rows are scanned in CSR order.
 
 The engine walks a CSR: the rows of a Graph's csr(), each ascending, held
 as two flat Python lists.  Edges given as pairs are canonicalised with
@@ -35,151 +46,111 @@ from .graphs import Graph, _int64
 __all__ = ["maximum_matching", "perfect_matching_exists"]
 
 
-class _Blossom:
-    """One-pass Edmonds search state over a fixed CSR: the row of v is
-    nbr[xadj[v]:xadj[v + 1]], both flat Python lists."""
+def _base(base, v):
+    """Base of the outermost blossom holding v: its union-find root."""
+    root = v
+    while base[root] != root:
+        root = base[root]
+    while v != root:
+        base[v], v = root, base[v]
+    return root
 
-    __slots__ = (
-        "xadj", "nbr", "mate", "stamp", "bstamp", "clock", "start",
-        "used_at", "p_at", "p", "base_at", "base", "lca_at",
-    )
 
-    def __init__(self, xadj, nbr, mate):
-        n = len(mate)
-        self.xadj = xadj
-        self.nbr = nbr
-        self.mate = mate
-        self.stamp = 0
-        self.bstamp = 0
-        # p_at holds the clock at each p assignment, so a valid entry is one
-        # made since the search started, and an inner vertex (given p once)
-        # carries the order in which the search reached it
-        self.clock = 0
-        self.start = 1
-        self.used_at = [0] * n
-        self.p_at = [0] * n
-        self.p = [-1] * n
-        self.base_at = [0] * n
-        self.base = list(range(n))
-        self.lca_at = [0] * n
+def _lca(base, mate, p, a, b):
+    """Base of the blossom that an edge between outer vertices a and b of
+    one tree closes: climb from each end in turn, one base per step along
+    v, mate[v], p[mate[v]], ..., until a base is reached from both."""
+    seen = set()
+    while True:
+        if a != -1:
+            a = _base(base, a)
+            if a in seen:
+                return a
+            seen.add(a)
+            a = -1 if mate[a] == -1 else p[mate[a]]
+        a, b = b, a
 
-    # stamped accessors: state from older searches reads as pristine
-    def _get_base(self, v):
-        """Base of the outermost blossom holding v: its union-find root."""
-        base = self.base
-        base_at = self.base_at
-        stamp = self.stamp
-        root = v
-        while base_at[root] == stamp:
-            root = base[root]
-        while v != root:
-            base[v], v = root, base[v]
-        return root
 
-    def _get_p(self, v):
-        return self.p[v] if self.p_at[v] >= self.start else -1
+def _mark_path(base, mate, p, v, b, child, bases, inner):
+    """Walk from v up to base b, pointing p back along the cycle; collects
+    the bases passed and the mates (inner side) of each step.  Bases are
+    linked only after both walks, which stop on reaching b."""
+    while (v_base := _base(base, v)) != b:
+        w = mate[v]
+        bases.append(v_base)
+        bases.append(_base(base, w))
+        inner.append(w)
+        p[v] = child
+        child = w
+        v = p[w]
 
-    def _set_p(self, v, parent):
-        self.clock += 1
-        self.p[v] = parent
-        self.p_at[v] = self.clock
 
-    def _lca(self, a, b):
-        # walks use their own mark array: the a-side climb marks bases all
-        # the way to the root, which must not read as blossom membership
-        self.bstamp += 1
-        stamp = self.bstamp
-        mark = self.lca_at
-        mate = self.mate
-        while True:
-            a = self._get_base(a)
-            mark[a] = stamp
-            if mate[a] == -1:
-                break
-            a = self._get_base(self._get_p(mate[a]))
-        while True:
-            b = self._get_base(b)
-            if mark[b] == stamp:
-                return b
-            b = self._get_base(self._get_p(mate[b]))
+def _flip(mate, p, v, partner):
+    """Match outer v to partner and flip the alternating path from v to
+    its root: v, mate[v], p[mate[v]], ..."""
+    while True:
+        w = mate[v]
+        mate[v] = partner
+        if w == -1:
+            return
+        v, partner = p[w], w
+        mate[w] = v
 
-    def _mark_path(self, v, b, child, bases, inner):
-        """Walk from v up to base b, pointing p back along the cycle;
-        collects the bases passed and the mates (inner side) of each step.
-        Bases are linked only after both walks, which stop on reaching b."""
-        mate = self.mate
-        while self._get_base(v) != b:
-            bases.append(self._get_base(v))
-            bases.append(self._get_base(mate[v]))
-            inner.append(mate[v])
-            self._set_p(v, child)
-            child = mate[v]
-            v = self._get_p(child)
 
-    def search(self, root) -> bool:
-        """Grow an alternating tree from a free root; augment if a free
-        vertex is reached.  True iff the matching grew."""
-        self.stamp += 1
-        stamp = self.stamp
-        start = self.start = self.clock + 1
-        xadj = self.xadj
-        nbr = self.nbr
-        mate = self.mate
-        base = self.base
-        base_at = self.base_at
-        p_at = self.p_at
-        used_at = self.used_at
-        used_at[root] = stamp
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            mate_v = mate[v]
-            # only a contraction moves v's base: look it up now and after one
-            v_base = self._get_base(v)
-            for to in nbr[xadj[v]:xadj[v + 1]]:
-                # the stamped checks inline: a node outside every blossom
-                # of this search is its own base, and p[x] counts only
-                # when p_at[x] >= start
-                if base_at[to] == stamp:
-                    if v_base == self._get_base(to):
-                        continue
-                elif v_base == to:
-                    continue
-                if mate_v == to:
-                    continue
+def _phase(xadj, nbr, mate) -> bool:
+    """Grow one forest from every exposed vertex with a nonempty row,
+    augmenting between live trees; True iff the matching grew."""
+    n = len(mate)
+    p = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    root = [-1] * n
+    dead = [False] * n
+    queue = deque(v for v in range(n) if mate[v] == -1 and xadj[v] != xadj[v + 1])
+    for v in queue:
+        outer[v] = True
+        root[v] = v
+    grew = False
+    while queue:
+        v = queue.popleft()
+        r = root[v]
+        if dead[r]:
+            continue
+        v_base = _base(base, v)
+        for to in nbr[xadj[v]:xadj[v + 1]]:
+            to_root = root[to]
+            if to_root == -1:
+                # unlabelled, so matched (every exposed vertex is a root),
+                # and its mate is unlabelled too: both join v's tree
                 w = mate[to]
-                if to == root or (w != -1 and p_at[w] >= start):
-                    # to is outer: the edge closes an odd cycle (blossom)
-                    cur_base = self._lca(v, to)
-                    bases: list[int] = []
-                    inner: list[int] = []
-                    self._mark_path(v, cur_base, to, bases, inner)
-                    self._mark_path(to, cur_base, v, bases, inner)
-                    for b in bases:
-                        base[b] = cur_base
-                        base_at[b] = stamp
-                    # the cycle's inner vertices become outer, queued in the
-                    # order the search reached them: queue order decides
-                    # which augmenting path is found, and so the mates
-                    for i in sorted(inner, key=p_at.__getitem__):
-                        if used_at[i] != stamp:
-                            used_at[i] = stamp
-                            queue.append(i)
-                    v_base = self._get_base(v)
-                elif p_at[to] < start:
-                    self._set_p(to, v)
-                    if w == -1:
-                        # augment: flip matched status back to the root
-                        while to != -1:
-                            pv = self._get_p(to)
-                            ppv = mate[pv]
-                            mate[to] = pv
-                            mate[pv] = to
-                            to = ppv
-                        return True
-                    used_at[w] = stamp
-                    queue.append(w)
-        return False
+                p[to] = v
+                root[to] = root[w] = r
+                outer[w] = True
+                queue.append(w)
+            elif not outer[to] or dead[to_root]:
+                continue
+            elif to_root != r:
+                # outer vertices of two live trees: an augmenting path
+                _flip(mate, p, v, to)
+                _flip(mate, p, to, v)
+                dead[r] = dead[to_root] = True
+                grew = True
+                break
+            elif _base(base, to) != v_base:
+                # outer vertices of one tree: the edge closes a blossom
+                b = _lca(base, mate, p, v, to)
+                bases: list[int] = []
+                inner: list[int] = []
+                _mark_path(base, mate, p, v, b, to, bases, inner)
+                _mark_path(base, mate, p, to, b, v, bases, inner)
+                for x in bases:
+                    base[x] = b
+                for i in inner:
+                    if not outer[i]:
+                        outer[i] = True
+                        queue.append(i)
+                v_base = b
+    return grew
 
 
 def maximum_matching(n: int, edges, seed_mate=None) -> np.ndarray:
@@ -215,10 +186,8 @@ def maximum_matching(n: int, edges, seed_mate=None) -> np.ndarray:
     xadj, nbr, _ = g.csr()
     xadj, nbr = xadj.tolist(), nbr.tolist()
     mate = seed.tolist()
-    engine = _Blossom(xadj, nbr, mate)
-    for root in range(n):
-        if mate[root] == -1 and xadj[root] != xadj[root + 1]:
-            engine.search(root)
+    while _phase(xadj, nbr, mate):
+        pass
     return np.array(mate, dtype=np.int64)
 
 

@@ -347,21 +347,21 @@ def test_gadget_graph_is_the_canonical_gadget():
 # matching, so it pins the engine's tie-breaking.
 GOLDEN_MATES = [
     (3, False, "91d0b51da4e404b89378eca1db7d51ff63c48a89a9f1d0e4d24d226676cf5ab5",
-     "1ec5c1769a02065f9c23e4e4aadec5c9cd26d0d24451dff1ef5d5c62a6712abc"),
+     "1d99250357123bc277fb75a743a43f11d54cb6d5410ec8001e9f90e503b23cba"),
     (5, False, "64bbf4a54923af6fea8cfd9f5609bdcfccff59727cd63f55a663f28172fbc1d7",
      "64bbf4a54923af6fea8cfd9f5609bdcfccff59727cd63f55a663f28172fbc1d7"),
     (8, True, "59145e5c4afd6a2e1cc29e9d6323c5cf368ee6a1677f722607e23b159ec6ef12",
-     "38f9c65f89d2da1f29dd0b99946a80a532e5e0e82ecd7140ecd99355d1cef5da"),
+     "7efa7772ef11d165548edde0317cb95166a39bdc4385ad675e39a559931fc990"),
     (13, False, "f6d0b87f2d67a7d724272aa669cd56ad8803bb6b0f6f67ffe7dc88940f591647",
-     "827f92171f8fc121b8d0ca8d71d8a33bcd39d849c0b1ed5a61bf2ea9f7c1143b"),
+     "d64297f324c7e6cf38523b999b25317116d232f2d400d8257f60a0883c6f9397"),
     (21, False, "dc0a7cb7e3f35ca68bef3328e682c74599f2a7d425cc808c386fb4cf6da1261b",
-     "17c21246448602cd1dbad06fc303721d6d833ce67ecf3adb625189640dafddb4"),
+     "4ebb03d045d2b381ad11597345925d94b766edb5ee7652d5a1cf357c6ec2c157"),
     (34, False, "48709e9084d08d8bcb9b86021663b963645951676a3579594e856c7288af0c0f",
      "48709e9084d08d8bcb9b86021663b963645951676a3579594e856c7288af0c0f"),
     (55, False, "31d6368555b7bacde3338266014aafeda8e26bf78933b26da929dc2159c9bf45",
      "748b8d20f75f106780ce32b5f31150bacf27c5756dfa4bf871d08c82940f4168"),
     (236, True, "8b9e35b19de98d30f28feeff428e8dd8afa32506c5cf028feabd1a445b3d2099",
-     "d323c41791040ec2cf007fd17deaf1cdb5ea241700468fc509772e9bea5cffef"),
+     "20cac676c120443a7ad9f7dc3b59fc1c4bb8e51f13ff32b2974513fcf38397df"),
 ]
 
 
@@ -400,31 +400,29 @@ def test_factor_golden_mates(monkeypatch):
 # The same digests on more hosts.  "config": configuration multigraphs
 # with parallel edges, pairing the degrees of the 4-core of
 # G(300, (c_4 + 0.2)/n) by sample_configuration with the same seed, loops
-# stripped as a scan strips them.  "gnp": 4-cores as in GOLDEN_MATES
-# whose search reaches an outer node through the first node labelled
-# inner, so a p-validity test that drops the search's first label changes
-# their mates.
+# stripped as a scan strips them.  "gnp": two more 4-cores as in
+# GOLDEN_MATES.
 GOLDEN_MORE_MATES = [
     ("config", 1, False, "5ad7dad0170603409e6be21127c189ca955533513ddc95550fc33706dc148d35",
-     "741d64e55031880c2b73f0f86924272b95c3bab6606f7dab31c87a57ff947ee5"),
+     "e93cb26cfe40ca57b7b6b7fe449f7998df908d9b252de04aaf6d2d835d5ec210"),
     ("config", 4, False, "fb8a3d04a6125acfd075df752d29586712f9a0f1267ed9fde42f26c8f4bded2b",
-     "a4de9abe5f9ecfc75bf895c603b40b3e857775d8b8ccc84142ea37a4bef35e8b"),
+     "0f9a40605aa55e743ef0008ca6c9b28c3538310bce5074e431caf288f9447dae"),
     ("config", 7, False, "307a5913f21491829c6d7c50b65d62e11cc4f0010e1f8110cbdbec708e80e322",
-     "b97c5db2ce60458220b2a6d6df03d14009789a738ce5d7362fbcb49b9a0d4fa8"),
+     "6b0df56bc83b238ae2fb422be153d54cb65854f680ef1af365f9bd93c0df7cfe"),
     ("config", 8, True, "e489599421898170900ea95341b9073f564b2cb8505079cd92cef019fe2205c9",
      "55c66e14d3cd8f1a4e00df84e5f3e3a2db95d4dd057367dfcb62582eeee3a17d"),
     ("config", 11, True, "5a8f20328267ac1ce19a9ba1f2a25982707ae492f7727c900d4dac4a426c3d6a",
-     "886f889105b663be75fce0b272c23994c44211c1b72e2d37c2e2be0d8b34cfbb"),
+     "6c6b2f6842805295406df8e8e3acc1a9b742939a46085267eb939696295bad2d"),
     ("config", 12, False, "292ba6ef979d62f3146eb0bd79933d2a761c86fc6311962f76132e97b559df82",
-     "bd258a3137f97b99674e14a9e1e12f3f8c061ff54bcf48f3483a693ba78989f3"),
+     "33b279738630ae8af3a3a1082e035bbecf2fef61770149f79d8bf6726200e86b"),
     ("config", 13, True, "8068c3f84a99261ce5ac4e87d78e14708910ae5abc69e983604e526356d1164d",
-     "41a613a36fb027a261d1b5b0eacbf71abf2bdaac63661113d924d53ac7c5838e"),
+     "4fde2a2d41e051fecf30578da75acdd5b538bebba25b102e823451a9df80b26f"),
     ("config", 14, False, "215c401485c496b45cd1adaac9459a1fd117033be1c21859c4455632e6fcc180",
-     "4ec1e2768b8d8fef53396187d7f915778f11d4ce86971d86168384f46c7a61c6"),
+     "712364ec99ebb0b8983d6c34abd589b75995bcbc2a36ba76c7471cd4a12e8520"),
     ("gnp", 29, False, "bbc76cf18c9b6f4af5686f567652b66a06391079cc253fd1ac171faac2e6989c",
-     "a95103e139b468876c9c11b61c6658c18d2987e7b980e3d91cb13d07eb1831ea"),
+     "bf2dc42647ab9bd10b24a0a65ecf7d84308015923b2b76e4ff7db29c55c4c68d"),
     ("gnp", 60, False, "14901f02b90c99751c9939cb891bd564fe4b86c8eaa1749be399047123c60d44",
-     "a0c6da25b41b426f944205eb8416529d27c86eee5b4c3dcfc6514bc2f0f9d114"),
+     "5af681c75746f722d007010da9459e39e4e711a74ac9486731f5f3f989746aa6"),
 ]
 
 
@@ -534,20 +532,18 @@ def test_factor_k_guard():
 
 
 # Seeded k-cores of G(n, (c_k + offset)/n) whose greedy seed leaves exposed
-# gadget nodes, so each certificate depends on the blossom engine's search
-# order; seeds 236, 253 (k=4) and 30 (k=5) change if a contracted
-# blossom's inner vertices are queued out of discovery order.  Pinned as
-# the sha256 of to_json().
+# gadget nodes, so each certificate depends on the matching engine's
+# tie-breaking.  Pinned as the sha256 of to_json().
 GOLDEN_CERTIFICATES = [
     # (k, n, offset, gen_gnp seed, sha256)
-    (4, 600, 0.2, 8, "67a716aab89338f3a1b21a32873b92d06aea93b476586698b3f0829c804d5136"),
-    (4, 600, 0.2, 32, "031aebb566847486cfafba15036d647d919896cba5f0d8a5309882c089d91051"),
-    (4, 600, 0.2, 236, "82ca69f4276e4d37dc86cde13c463c4e987ac1b93b12e2393a4282d19dc3e158"),
-    (4, 600, 0.2, 253, "4656aa86273e826efe388a39f0186544307748d608cc94d13ae62b81975b55f6"),
-    (5, 300, 1.5, 3, "0288e2fe4ea8007dcedcfdef639f5e291cd632ecc48db2389ed991565799862d"),
+    (4, 600, 0.2, 8, "cbd656f491f1c36ace14975053997e4532f1f174f9ebf2e24d1624123c82a8a2"),
+    (4, 600, 0.2, 32, "1e9ce6ea46e7fa98787a5676c26e2a3a79d8420347fae908d26e189cbe28e56c"),
+    (4, 600, 0.2, 236, "31a7b41d408cc987d5cfbfa1305db33c540fee62ee9149437bc9ebdf83a613cb"),
+    (4, 600, 0.2, 253, "3bc58a95237fd0e40e79b4a4577955933b657b113e2e6cbac8b0c7cb6e92975e"),
+    (5, 300, 1.5, 3, "8b23d94863edbd242504201e580008f0d9ebf019a80cbcdc6db9c8216772d5a8"),
     (5, 300, 1.5, 11, "b7471ce6e1d3161eff4ab948466cc74b01bd928d94fd48592ca38d82428659e0"),
     (5, 300, 1.5, 22, "de213a205c314e7ff4d01d80c69c19940eb175c6ba5dc6b2f038af4480e8309f"),
-    (5, 300, 1.5, 30, "3d8992c8fb000ba56f9b7221120bd48eeb1c53536bbe0aa6ac39c9183c1470f3"),
+    (5, 300, 1.5, 30, "315de525279eba430cb8e6f17a0dcc7f6a8069096ad5165a34724f071cc092ca"),
 ]
 
 
