@@ -5,6 +5,7 @@ exact simple fractions and re-sampler supports, binomial moments for
 edge counts, and hand-built configurations for split-degree extraction.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from kflab.analytics import c_k_threshold
 from kflab.errors import (
     DomainError,
     ExhaustionError,
@@ -151,6 +153,25 @@ def hash_code(code: int) -> int:
         if code & (1 << (u * 4 + v)):
             out |= 1 << i
     return out
+
+
+# sha256 over gen_gnp's edge_array bytes on a grid of n, c and seeds; c = n
+# is p = 1, skipped at n = 50,000 where it would hold 1.25e9 edges.  Pins
+# the skip sampler and the pair decode byte for byte.
+GNP_GRID_DIGEST = "3efe68b2fe3881ce10d899a0604d9c418200f82e0f4e73825e3a43f08c9713cb"
+
+
+def test_gnp_grid_digest():
+    h = hashlib.sha256()
+    for n in (2, 3, 17, 600, 50000):
+        for c in (0.0, 1.2, c_k_threshold(5)[0] + 0.5, float(n)):
+            if c == n == 50000:
+                continue
+            for seed in (0, 1, 2):
+                g = gen_gnp(n, c, spawn_seed(61, "gnp-grid", n, seed))
+                h.update(f"{n},{c!r},{seed}:{g.m};".encode())
+                h.update(np.ascontiguousarray(g.edge_array, dtype=np.int64).tobytes())
+    assert h.hexdigest() == GNP_GRID_DIGEST
 
 
 # -------------------------------------------------------------- configurations
@@ -442,6 +463,40 @@ def test_sample_from_rw_round_trip_small_instances():
         info = rw_extract(cfg, classes)
         out = sample_from_rw(info, spawn_seed(73, "rt-draw", trial))
         assert rw_extract(out, classes) == info
+
+
+# sha256 over sample_from_rw's mate bytes, or "raise:<type>" when a draw is
+# refused, for three seeds on each of 400 instances: degrees 0..6 on
+# n <= 60 vertices and uniform classes, so W1 pairs are pinned often.
+# Every fourth instance has one split entry raised by one, which no
+# pairing can meet.  Pins the draw order of every permutation.
+RW_DRAWS_DIGEST = "699fd56630e9c822552a6c7da301636d9d01c92c0d2d6114bb6f99d5a66be173"
+
+
+def test_sample_from_rw_draws_digest():
+    rng = np.random.default_rng(404)
+    h = hashlib.sha256()
+    for i in range(400):
+        n = int(rng.integers(1, 61))
+        degrees = rng.integers(0, 7, size=n)
+        if degrees.sum() % 2:
+            degrees[0] += 1
+        cfg = sample_configuration(degrees, spawn_seed(404, "guard-base", i))
+        info = rw_extract(cfg, rng.integers(0, 3, size=n))
+        if i % 4 == 3:
+            v = int(rng.integers(n))
+            split = list(info.splits[v])
+            split[int(rng.integers(len(split)))] += 1
+            splits = info.splits[:v] + (tuple(split),) + info.splits[v + 1 :]
+            info = RWInfo(info.classes, splits, info.w1_pairs)
+        for s in range(3):
+            try:
+                out = sample_from_rw(info, spawn_seed(404, "guard-draw", i, s))
+            except Exception as exc:  # the marker pins which error type
+                h.update(f"raise:{type(exc).__name__};".encode())
+            else:
+                h.update(out.mate.astype(np.int64).tobytes() + b";")
+    assert h.hexdigest() == RW_DRAWS_DIGEST
 
 
 def test_sample_from_rw_without_w1_is_plain_matching():
