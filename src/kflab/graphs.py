@@ -32,15 +32,21 @@ def _int64(values, what: str) -> np.ndarray:
     return arr
 
 
+def _int_pairs(values, what: str) -> np.ndarray:
+    """values as a (p, 2) int64 array; DomainError if they are not integer pairs."""
+    arr = _int64(values, what)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DomainError(f"{what} must be pairs")
+    return arr
+
+
 def _pairs(n: int, edges) -> np.ndarray:
     """Edges as an (m, 2) int64 array with every endpoint in [0, n)."""
     if n < 0:
         raise DomainError(f"vertex count must be >= 0, got {n}")
-    arr = _int64(edges, "edge endpoints")
-    if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DomainError("edges must be pairs")
+    arr = _int_pairs(edges, "edges")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise DomainError("edge endpoint out of range")
     return arr
@@ -61,12 +67,15 @@ class Graph:
                  mult=None, loops=None):
         """Simple graph from distinct non-loop pairs.  With _canonical the
         pairs are trusted to be in canonical order already, and mult and
-        loops may give a multigraph's multiplicities and loop counts."""
+        loops may give a multigraph's multiplicities (one per row) and loop
+        counts (one per vertex); Graph.from_pairs is the public way to them."""
         if _canonical:
             if n < 0:
                 raise DomainError(f"vertex count must be >= 0, got {n}")
             arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         else:
+            if mult is not None or loops is not None:
+                raise DomainError("mult and loops need _canonical; use from_pairs")
             arr = _pairs(n, edges)
             if np.any(arr[:, 0] == arr[:, 1]):
                 raise DomainError("self-loops not allowed in a simple graph")
@@ -77,6 +86,9 @@ class Graph:
                 dup = np.all(arr[1:] == arr[:-1], axis=1)
                 if dup.any():
                     raise DomainError("duplicate edges not allowed in a simple graph")
+        if (mult is not None and np.shape(mult) != (len(arr),)
+                or loops is not None and np.shape(loops) != (n,)):
+            raise DomainError("mult needs one entry per edge row, loops one per vertex")
         self.n = int(n)
         self.edge_array = arr
         # normalized so that a multiset without repeats or loops is simple

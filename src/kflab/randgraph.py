@@ -1,9 +1,11 @@
 """Random graph and configuration sampling.
 
-Covers G(n, p = c/n) generation by geometric skips, uniform configurations
-on a degree sequence, simplicity resampling, and the class-respecting
-re-sampler that draws a fresh configuration uniformly among all those
-sharing the same split-degree information.
+Covers G(n, p = c/n) by geometric skips over the C(n, 2) pair indices,
+uniform configurations on a degree sequence, simplicity resampling, and
+the class-respecting re-sampler that draws a configuration uniformly
+among all those sharing the same split-degree information.  Each uniform
+pairing shuffles copies and pairs consecutive ones.  Degrees, classes,
+splits and pairs must be integers: DomainError, never a truncating cast.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ExhaustionError, InfeasibleError, ParityError
-from .graphs import Graph
+from .graphs import Graph, _int64, _int_pairs
 from .rng import make_rng
 
 __all__ = [
@@ -75,10 +77,11 @@ class Configuration:
             raise DomainError("mate array does not cover all copies")
         if len(m) % 2 != 0:
             raise ParityError("odd copy count cannot be perfectly paired")
-        if np.any(m == np.arange(len(m))):
-            raise DomainError("pairing has a fixed point")
-        if np.any(m[m] != np.arange(len(m))):
-            raise DomainError("pairing is not an involution")
+        if len(m) and (m.min() < 0 or m.max() >= len(m)):
+            raise DomainError("mate entries must be copy ids in [0, copy_count)")
+        ids = np.arange(len(m))
+        if np.any(m == ids) or np.any(m[m] != ids):
+            raise DomainError("pairing is not a fixed-point-free involution")
 
     def pairs(self) -> list[tuple[int, int]]:
         """Canonical pair list: smaller copy id first, sorted."""
@@ -95,42 +98,52 @@ class Configuration:
     @classmethod
     def from_json(cls, text: str) -> "Configuration":
         obj = json.loads(text)
-        degrees = np.asarray(obj["degrees"], dtype=np.int64)
+        degrees = _degrees(obj["degrees"])
         total = int(degrees.sum())
+        pairs = _int_pairs(obj["pairing"], "pairing")
+        if 2 * len(pairs) != total or np.any((pairs < 0) | (pairs >= total)):
+            raise DomainError("pairing must pair up the copy ids 0..total-1")
+        # with exactly total/2 in-range pairs, a reused copy leaves another
+        # at -1 and a pair (a, a) is a fixed point: validate rejects both
         mate = np.full(total, -1, dtype=np.int64)
-        for a, b in obj["pairing"]:
-            if not (0 <= a < total and 0 <= b < total) or a == b:
-                raise DomainError(f"bad pair ({a},{b})")
-            if mate[a] != -1 or mate[b] != -1:
-                raise DomainError(f"copy paired twice in ({a},{b})")
-            mate[a], mate[b] = b, a
-        if np.any(mate < 0):
-            raise DomainError("pairing does not cover all copies")
+        _pair_consecutive(mate, pairs.ravel())
         cfg = cls(degrees=degrees, mate=mate)
         cfg.validate()
         return cfg
 
 
+def _degrees(values) -> np.ndarray:
+    degrees = _int64(values, "degrees")
+    if np.any(degrees < 0):
+        raise DomainError("degrees must be >= 0")
+    return degrees
+
+
+def _classes(values, n: int) -> np.ndarray:
+    classes = _int64(values, "classes")
+    if classes.shape != (n,) or np.any((classes < W0) | (classes > R)):
+        raise DomainError("classes must give W0, W1 or R for every vertex")
+    return classes
+
+
+def _pair_consecutive(mate: np.ndarray, copies: np.ndarray) -> None:
+    """Pair copies[0] with copies[1], copies[2] with copies[3], ... in mate;
+    on a uniformly shuffled copy array this is a uniform pairing."""
+    mate[copies[0::2]] = copies[1::2]
+    mate[copies[1::2]] = copies[0::2]
+
+
 def _decode_pair_index(t: np.ndarray, n: int) -> np.ndarray:
     """Map linear indices over the C(n,2) pairs (u < v, lexicographic) to rows.
 
-    Row u starts at S(u) = u(2n-u-1)/2; invert with a float sqrt and fix up
-    rounding exactly with integer arithmetic.
+    Row u starts at S(u) = u(2n-u-1)/2, so u is the last row starting at or
+    before t, found exactly by a search over the n-1 row starts.
     """
     t = np.asarray(t, dtype=np.int64)
-    tw = 2.0 * n - 1.0
-    u = np.floor((tw - np.sqrt(tw * tw - 8.0 * t)) / 2.0).astype(np.int64)
-    u = np.clip(u, 0, n - 2)
-    for _ in range(2):
-        s_u = u * (2 * n - u - 1) // 2
-        u -= (s_u > t).astype(np.int64)
-        u = np.clip(u, 0, n - 2)
-        s_next = (u + 1) * (2 * n - u - 2) // 2
-        u += (t >= s_next).astype(np.int64)
-        u = np.clip(u, 0, n - 2)
-    s_u = u * (2 * n - u - 1) // 2
-    v = t - s_u + u + 1
-    return np.column_stack([u, v])
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(starts, t, side="right") - 1
+    return np.column_stack([u, t - starts[u] + u + 1])
 
 
 def gen_gnp(n: int, c: float, seed: int) -> Graph:
@@ -147,8 +160,7 @@ def gen_gnp(n: int, c: float, seed: int) -> Graph:
     if p == 0.0 or total == 0:
         return Graph(n, np.empty((0, 2), dtype=np.int64), _canonical=True)
     if p == 1.0:
-        u, v = np.triu_indices(n, k=1)  # row-major, so already canonical
-        return Graph(n, np.column_stack([u, v]), _canonical=True)
+        return Graph(n, _decode_pair_index(np.arange(total), n), _canonical=True)
 
     rng = make_rng(seed)
     log1mp = math.log1p(-p)
@@ -163,27 +175,21 @@ def gen_gnp(n: int, c: float, seed: int) -> Graph:
         if idx[-1] >= total:
             break
         pos = int(idx[-1])
-    t = np.concatenate(hits)
-    edges = _decode_pair_index(t, n)
-    return Graph(n, edges, _canonical=True)
+    return Graph(n, _decode_pair_index(np.concatenate(hits), n), _canonical=True)
 
 
 def _pairings(degrees, seed: int):
     """Uniform pairings of the copies, one per attempt from one seeded
     stream: shuffle all copies and pair consecutive ones.  The degrees are
     checked on the first draw."""
-    degrees = np.asarray(degrees, dtype=np.int64)
-    if np.any(degrees < 0):
-        raise DomainError("degrees must be >= 0")
+    degrees = _degrees(degrees)
     total = int(degrees.sum())
     if total % 2 != 0:
         raise ParityError(f"degree sum {total} is odd, no pairing exists")
     rng = make_rng(seed)
     for attempt in itertools.count(1):
-        perm = rng.permutation(total)
         mate = np.empty(total, dtype=np.int64)
-        mate[perm[0::2]] = perm[1::2]
-        mate[perm[1::2]] = perm[0::2]
+        _pair_consecutive(mate, rng.permutation(total))
         cfg = Configuration(degrees=degrees, mate=mate, attempts=attempt)
         cfg.validate()
         yield cfg
@@ -253,35 +259,23 @@ class RWInfo:
 
 def rw_extract(cfg: Configuration, classes) -> RWInfo:
     """Read the split degrees and pinned pair list off a configuration."""
-    classes = np.asarray(classes, dtype=np.int64)
-    if len(classes) != cfg.n:
-        raise DomainError("classes must cover every vertex")
-    if classes.size and not np.all((classes >= W0) & (classes <= R)):
-        raise DomainError("classes must be W0, W1 or R")
+    classes = _classes(classes, cfg.n)
     owner = cfg.owner
-    mate_class = classes[owner[cfg.mate]]
     # per-vertex counts of partners in each class
-    cnt = np.zeros((cfg.n, 3), dtype=np.int64)
-    np.add.at(cnt, (owner, mate_class), 1)
-    splits: list[tuple[int, ...]] = []
-    for v in range(cfg.n):
-        if classes[v] == W0:
-            splits.append((int(cnt[v, W0]), int(cnt[v, W1] + cnt[v, R])))
-        else:
-            splits.append((int(cnt[v, W0]), int(cnt[v, W1]), int(cnt[v, R])))
-    ids = np.arange(cfg.copy_count)
-    own_class = classes[owner]
-    sel = ids < cfg.mate
-    a_cls = own_class[sel]
-    b_cls = mate_class[sel]
-    listed = ((a_cls == W1) & (b_cls != W0)) | ((b_cls == W1) & (a_cls != W0))
-    pair_a = ids[sel][listed]
-    pair_b = cfg.mate[sel][listed]
-    w1_pairs = tuple(sorted(zip(pair_a.tolist(), pair_b.tolist())))
+    cnt = np.bincount(3 * owner + classes[owner[cfg.mate]], minlength=3 * cfg.n)
+    splits = tuple(
+        (w0, w1 + r) if c == W0 else (w0, w1, r)
+        for c, (w0, w1, r) in zip(classes.tolist(), cnt.reshape(cfg.n, 3).tolist())
+    )
+    # pairs (a, mate[a]) with a < mate[a], in ascending a, so already sorted
+    ids = np.flatnonzero(np.arange(cfg.copy_count) < cfg.mate)
+    pairs = np.column_stack([ids, cfg.mate[ids]])
+    ends = classes[owner[pairs]]
+    pairs = pairs[(ends != W0).all(axis=1) & (ends == W1).any(axis=1)]
     return RWInfo(
-        classes=tuple(int(x) for x in classes),
-        splits=tuple(splits),
-        w1_pairs=w1_pairs,
+        classes=tuple(classes.tolist()),
+        splits=splits,
+        w1_pairs=tuple(map(tuple, pairs.tolist())),
     )
 
 
@@ -295,95 +289,62 @@ def sample_from_rw(info: RWInfo, seed: int) -> Configuration:
     (5) uniform bipartite matching of W0's outward copies against the
     W0-designated copies of W1 and R.  Pinned W1 pairs are installed
     verbatim.
+
+    Steps 1 and 2 draw one permutation of each W0 and R vertex's unpinned
+    copies, in vertex order, and take the first deg_W0 as W0-targets; steps
+    3 to 5 draw one permutation each.  A non-integral or negative entry or
+    a split of the wrong arity raises DomainError; splits, pinned pairs and
+    pools that no pairing can meet raise InfeasibleError.
     """
     n = len(info.classes)
-    degrees = np.array([info.degree_of(v) for v in range(n)], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(degrees)])
+    classes = _classes(info.classes, n)
+    if [len(s) for s in info.splits] != (3 - (classes == W0)).tolist():
+        raise DomainError("splits need arity 2 for W0 vertices and 3 for the others")
+    # W0 rows are padded to (deg_W0, deg_W1R, 0)
+    split = _degrees([(*s, 0)[:3] for s in info.splits]).reshape(n, 3)
+    degrees = split.sum(axis=1)
     total = int(degrees.sum())
     owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    classes = np.asarray(info.classes, dtype=np.int64)
 
+    pairs = _int_pairs(info.w1_pairs, "w1_pairs")
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= total):
+        raise InfeasibleError("a pinned pair names a copy the splits do not have")
     mate = np.full(total, -1, dtype=np.int64)
-    pinned = np.zeros(total, dtype=bool)
-    listed_partners: list[list[int]] = [[] for _ in range(n)]
-    for a, b in info.w1_pairs:
-        if not (0 <= a < total and 0 <= b < total) or a == b:
-            raise InfeasibleError(f"pair ({a},{b}) references missing copies")
-        if pinned[a] or pinned[b]:
-            raise InfeasibleError(f"copy reused by pair ({a},{b})")
-        ca, cb = classes[owner[a]], classes[owner[b]]
-        if not ((ca == W1 and cb != W0) or (cb == W1 and ca != W0)):
-            raise InfeasibleError(
-                f"pair ({a},{b}) lacks the W1 x (W1 u R) class pattern"
-            )
-        pinned[a] = pinned[b] = True
-        mate[a], mate[b] = b, a
-        listed_partners[owner[a]].append(int(classes[owner[b]]))
-        listed_partners[owner[b]].append(int(classes[owner[a]]))
+    _pair_consecutive(mate, pairs.ravel())
+    free = np.flatnonzero(mate < 0)
+    if len(free) != total - pairs.size:
+        raise InfeasibleError("a copy is used twice by the pinned pairs")
+    # pinned partners of each vertex by class, against what the splits allow:
+    # none for W0, deg_W1 W1-partners for R, deg_W1 and deg_R for W1.  So a
+    # pair with a W0 end or joining R to R fails here, and the unpinned copies
+    # number deg_W0 + deg_W1R, deg_W0 + deg_R and deg_W0 for W0, R and W1.
+    uv = owner[pairs]  # the vertices each pinned pair joins
+    partners = np.bincount((3 * uv + classes[uv[:, ::-1]]).ravel(), minlength=3 * n)
+    allowed = split * np.array([[0, 0, 0], [0, 1, 1], [0, 1, 0]])[classes]
+    if np.any(partners != allowed.ravel()):
+        raise InfeasibleError("pinned pairs disagree with the split degrees")
 
     rng = make_rng(seed)
-    w0_pool: list[int] = []      # step 3 participants
-    r_pool: list[int] = []       # step 4 participants
-    side_w0_out: list[int] = []  # step 5: W0 copies designated outward
-    side_to_w0: list[int] = []   # step 5: W1/R copies designated toward W0
-
-    for v in range(n):
-        free = [c for c in range(offsets[v], offsets[v + 1]) if not pinned[c]]
-        listed = listed_partners[v]
-        cls = classes[v]
-        if cls == W0:
-            d_w0, d_out = info.splits[v]
-            if listed:
-                raise InfeasibleError(f"W0 vertex {v} appears in the pinned pair list")
-            if len(free) != d_w0 + d_out:
-                raise InfeasibleError(f"vertex {v}: copies do not match split degrees")
-            chosen = rng.permutation(len(free))
-            w0_pool.extend(free[i] for i in chosen[:d_w0])
-            side_w0_out.extend(free[i] for i in chosen[d_w0:])
-        elif cls == R:
-            d_w0, d_w1, d_r = info.splits[v]
-            if len(listed) != d_w1 or any(c != W1 for c in listed):
-                raise InfeasibleError(f"R vertex {v}: pinned pairs disagree with deg_W1")
-            if len(free) != d_w0 + d_r:
-                raise InfeasibleError(f"vertex {v}: copies do not match split degrees")
-            chosen = rng.permutation(len(free))
-            side_to_w0.extend(free[i] for i in chosen[:d_w0])
-            r_pool.extend(free[i] for i in chosen[d_w0:])
-        else:  # W1
-            d_w0, d_w1, d_r = info.splits[v]
-            if len(listed) != d_w1 + d_r:
-                raise InfeasibleError(f"W1 vertex {v}: pinned pairs disagree with splits")
-            if sum(1 for c in listed if c == W1) != d_w1 or sum(
-                1 for c in listed if c == R
-            ) != d_r:
-                raise InfeasibleError(
-                    f"W1 vertex {v}: pinned partner classes disagree with splits"
-                )
-            if len(free) != d_w0:
-                raise InfeasibleError(f"vertex {v}: copies do not match split degrees")
-            side_to_w0.extend(free)
-
-    if len(w0_pool) % 2 != 0:
-        raise InfeasibleError("odd number of copies in the W0-internal pool")
-    if len(r_pool) % 2 != 0:
-        raise InfeasibleError("odd number of copies in the R-internal pool")
-    if len(side_w0_out) != len(side_to_w0):
-        raise InfeasibleError(
-            f"bipartite sides differ: {len(side_w0_out)} vs {len(side_to_w0)}"
-        )
+    free_owner = owner[free]
+    starts = np.searchsorted(free_owner, np.arange(n + 1))
+    order = np.arange(len(free))
+    for v in np.flatnonzero(classes != W1).tolist():
+        a, b = starts[v], starts[v + 1]
+        order[a:b] = a + rng.permutation(b - a)
+    to_w0 = np.arange(len(free)) - starts[free_owner] < split[free_owner, W0]
+    free, free_cls = free[order], classes[free_owner]
+    w0_pool = free[to_w0 & (free_cls == W0)]
+    r_pool = free[~to_w0 & (free_cls == R)]
+    w0_out = free[~to_w0 & (free_cls == W0)]
+    toward_w0 = free[to_w0 & (free_cls != W0)]
+    if len(w0_pool) % 2 or len(r_pool) % 2 or len(w0_out) != len(toward_w0):
+        raise InfeasibleError("W0 and R pools must be even, bipartite sides equal")
 
     for pool in (w0_pool, r_pool):
-        order = rng.permutation(len(pool))
-        for i in range(0, len(pool), 2):
-            a, b = pool[order[i]], pool[order[i + 1]]
-            mate[a], mate[b] = b, a
-    order = rng.permutation(len(side_to_w0))
-    for a, j in zip(side_w0_out, order):
-        b = side_to_w0[j]
-        mate[a], mate[b] = b, a
-
-    if np.any(mate < 0):
-        raise InfeasibleError("incomplete pairing after the five steps")
+        _pair_consecutive(mate, pool[rng.permutation(len(pool))])
+    toward_w0 = toward_w0[rng.permutation(len(toward_w0))]
+    mate[w0_out] = toward_w0
+    mate[toward_w0] = w0_out
     cfg = Configuration(degrees=degrees, mate=mate)
     cfg.validate()
     return cfg

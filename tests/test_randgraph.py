@@ -96,7 +96,7 @@ def test_pair_index_decode_exhaustive():
 
 
 def test_pair_index_decode_row_boundaries_large_n():
-    # float sqrt rounding must be fixed up exactly even at n = 10^6
+    # the first and last index of each row must decode exactly at n = 10^6
     n = 10**6
     rng = np.random.default_rng(5)
     us = np.concatenate([[0, 1, n - 3, n - 2], rng.integers(0, n - 1, 50)])
@@ -206,6 +206,9 @@ def test_configuration_validate_rejects_broken_pairings():
     bad = Configuration(degrees=degrees, mate=np.array([1, 0]))
     with pytest.raises(DomainError):
         bad.validate()  # does not cover all copies
+    bad = Configuration(degrees=np.array([1, 1]), mate=np.array([5, 0]))
+    with pytest.raises(DomainError):
+        bad.validate()  # names a copy that does not exist
 
 
 def test_configuration_json_round_trip():
@@ -215,10 +218,30 @@ def test_configuration_json_round_trip():
     assert np.array_equal(back.degrees, cfg.degrees)
     assert np.array_equal(back.mate, cfg.mate)
     assert back.to_json() == text
+    for bad in (
+        '{"degrees":[1,1,1,1],"pairing":[[0,1],[1,2]]}',  # copy 1 twice, 3 never
+        '{"degrees":[1,1],"pairing":[[0,1],[0,1]]}',  # one pair given twice
+        '{"degrees":[1,1],"pairing":[[0,2]]}',  # copy 2 does not exist
+        '{"degrees":[1,1],"pairing":[[0,0]]}',  # a copy paired with itself
+        '{"degrees":[-1,1],"pairing":[]}',  # negative degree
+        '{"degrees":[1.5,0.5],"pairing":[[0,1]]}',  # non-integral degrees
+        '{"degrees":[1,1],"pairing":[[0,1.5]]}',  # non-integral copy id
+        '{"degrees":[1,1],"pairing":[[0,1,0]]}',  # not a pair
+    ):
+        with pytest.raises(DomainError):
+            Configuration.from_json(bad)
+    back = Configuration.from_json('{"degrees":[1.0,1.0],"pairing":[[1.0,0.0]]}')
+    assert back.mate.tolist() == [1, 0] and back.degrees.dtype == np.int64
+
+
+def test_sampling_rejects_non_integral_degrees():
+    # an int64 cast would sample degrees [1, 1, 2, 0]
     with pytest.raises(DomainError):
-        Configuration.from_json(
-            '{"degrees":[1,1,1,1],"pairing":[[0,1],[1,2]]}'
-        )
+        sample_configuration(np.array([1.5, 1.0, 2.9, 0.2]), 1)
+    with pytest.raises(DomainError):
+        sample_simple_with_degrees(np.array([1.5, 0.5]), 1)
+    cfg = sample_configuration(np.array([3.0, 1.0, 2.0, 0.0]), 1)
+    assert np.array_equal(cfg.mate, sample_configuration([3, 1, 2, 0], 1).mate)
 
 
 def test_projection_degree_conservation():
@@ -278,6 +301,18 @@ def test_multigraph_from_pairs():
     with pytest.raises(DomainError):
         Graph.from_pairs(3, np.array([[0, 1.7]]))
     assert Graph(3, np.array([[0.0, 1.0]])) == Graph(3, [(0, 1)])
+    # mult and loops only ride on canonical rows, one per row and per vertex;
+    # unsorted rows once gave (0, 1) multiplicity 2 and degrees [2, 3, 1]
+    with pytest.raises(DomainError):
+        Graph(3, [(1, 2), (0, 1)], mult=[2, 1])
+    with pytest.raises(DomainError):
+        Graph(3, [(0, 1)], loops=[0, 0, 1])
+    rows = np.array([[0, 1], [1, 2]])
+    with pytest.raises(DomainError):
+        Graph(3, rows, _canonical=True, mult=[2])
+    with pytest.raises(DomainError):
+        Graph(3, rows, _canonical=True, loops=[1, 0])
+    assert Graph(3, rows, _canonical=True, mult=[2, 1]).degrees.tolist() == [2, 3, 1]
 
 
 def test_rows_of():
@@ -449,6 +484,9 @@ def test_rw_extract_rejects_bad_classes():
         rw_extract(cfg, [W0])
     with pytest.raises(DomainError):
         rw_extract(cfg, [W0, 5])
+    with pytest.raises(DomainError):
+        rw_extract(cfg, [0.5, 1.2])  # an int64 cast would read (0, 1)
+    assert rw_extract(cfg, [0.0, 2.0]) == rw_extract(cfg, [W0, R])
 
 
 def test_sample_from_rw_round_trip_small_instances():
@@ -552,6 +590,34 @@ def test_sample_from_rw_infeasible_inputs():
             ),
             0,
         )
+
+
+def test_sample_from_rw_rejects_malformed_input():
+    bad_infos = [
+        # negative split entries; the old draw returned degrees [0, 0]
+        RWInfo(classes=(W0, W0), splits=((-1, 1), (1, -1)), w1_pairs=()),
+        # split arity must be 2 for W0 and 3 otherwise
+        RWInfo(classes=(R,), splits=((2,),), w1_pairs=()),
+        RWInfo(classes=(W0,), splits=((2, 0, 0),), w1_pairs=()),
+        RWInfo(classes=(W0, W0), splits=((2, 0),), w1_pairs=()),
+        # non-integral classes, splits and pinned pairs
+        RWInfo(classes=(0.5, 0.0), splits=((1, 0), (1, 0)), w1_pairs=()),
+        RWInfo(classes=(W0, W0), splits=((1.5, 0), (0.5, 0)), w1_pairs=()),
+        RWInfo(classes=(W1, W1), splits=((0, 1, 0), (0, 1, 0)), w1_pairs=((0, 1.5),)),
+        RWInfo(classes=(W1, W1), splits=((0, 1, 0), (0, 1, 0)), w1_pairs=((0, 1, 1),)),
+        RWInfo(classes=(W0, 3), splits=((1, 0), (1, 0, 0)), w1_pairs=()),
+    ]
+    for info in bad_infos:
+        with pytest.raises(DomainError):
+            sample_from_rw(info, 0)
+    # integral floats are accepted
+    info = RWInfo(classes=(W0, W1, R), splits=((2, 0), (0, 0, 2), (0, 2, 0)),
+                  w1_pairs=((2, 4), (3, 5)))
+    floats = RWInfo(classes=(0.0, 1.0, 2.0),
+                    splits=((2.0, 0), (0, 0.0, 2), (0, 2.0, 0)),
+                    w1_pairs=((2.0, 4), (3, 5.0)))
+    assert sample_from_rw(floats, 0).mate.tolist() == [1, 0, 4, 5, 2, 3]
+    assert sample_from_rw(info, 0).mate.tolist() == [1, 0, 4, 5, 2, 3]
 
 
 def enumerate_support(degrees, classes, info):
