@@ -22,6 +22,7 @@ from kflab.errors import (
     ParityError,
 )
 from kflab.graphs import Graph, format_edge_text, parse_edge_text
+from kflab.kcore import k_core
 from kflab.randgraph import (
     R,
     W0,
@@ -188,6 +189,27 @@ def test_sample_configuration_forced_loop():
     assert cfg.pairs() == [(0, 1)]
     g, loops, multis = project_multigraph(cfg)
     assert g.m == 0 and loops == 1 and multis == 0
+
+
+# sha256 over sample_configuration's mate bytes for three seeds on each
+# case: the k-cores of G(n, (c_k + delta)/n) for k = 3..6, plus hand
+# degree sequences with zero degrees and forced loops.  Pins the single
+# permutation draw behind every multigraph scan row.
+CONFIG_DRAWS_DIGEST = "9aed9d8f31ab6baccdd6998bd456e04c15e2f22234acd750cb6f958210cbb9f3"
+
+
+def test_sample_configuration_draws_digest():
+    cases = [[0], [2], [0, 0, 2], [4, 0], [2, 0, 2], [0, 1, 0, 1], [6, 1, 1, 0]]
+    for k in (3, 4, 5, 6):
+        for n, delta in ((60, 0.5), (400, 0.2), (3000, 1.0)):
+            g = gen_gnp(n, c_k_threshold(k)[0] + delta, spawn_seed(18, "cfg", k, n))
+            cases.append(k_core(g, k).core.degrees)
+    h = hashlib.sha256()
+    for i, degrees in enumerate(cases):
+        for s in range(3):
+            cfg = sample_configuration(degrees, spawn_seed(18, "cfg-draw", i, s))
+            h.update(f"{len(cfg.mate)}:".encode() + cfg.mate.astype(np.int64).tobytes())
+    assert h.hexdigest() == CONFIG_DRAWS_DIGEST
 
 
 def test_sample_configuration_odd_sum_raises():
