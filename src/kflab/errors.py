@@ -2,9 +2,9 @@
 
 DomainError covers bad numeric/structural arguments (CLI exit code 2).
 InfeasibleError covers well-formed requests with no possible answer
-(odd pairing totals, impossible degree splits, resampling exhaustion;
-CLI exit code 3).  A bare KflabError is an internal fault, such as a
-constructed factor failing its own verification (CLI exit code 1).
+(odd pairing totals, impossible degree splits; CLI exit code 3).  A bare
+KflabError is an internal fault, such as a constructed factor failing its
+own verification (CLI exit code 1).
 """
 
 
@@ -22,7 +22,3 @@ class InfeasibleError(KflabError, ValueError):
 
 class ParityError(InfeasibleError):
     """An odd total where a perfect pairing was required."""
-
-
-class ExhaustionError(InfeasibleError):
-    """Retry budget spent without producing an admissible sample."""

@@ -24,12 +24,27 @@ __all__ = ["Graph", "parse_edge_text", "format_edge_text"]
 
 
 def _int64(values, what: str) -> np.ndarray:
-    """values as an int64 array; DomainError if the cast changes one."""
-    raw = np.asarray(values)
-    arr = raw.astype(np.int64, copy=False)
+    """values as an int64 array; DomainError unless they form a rectangular
+    array of integers (integral floats pass, a truncating cast does not)."""
+    try:
+        raw = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise DomainError(f"{what} must be a rectangular array") from exc
+    if raw.dtype.kind not in "biuf":  # object, complex, string, ...
+        raise DomainError(f"{what} must be integers")
+    with np.errstate(invalid="ignore"):  # nan and inf cast to values caught below
+        arr = raw.astype(np.int64, copy=False)
     if arr is not raw and np.any(arr != raw):
         raise DomainError(f"{what} must be integers")
     return arr
+
+
+def _vertex_count(n) -> int:
+    """n as an int; DomainError unless it is an integer >= 0."""
+    arr = _int64(n, "vertex count")
+    if arr.ndim != 0 or arr < 0:
+        raise DomainError(f"vertex count must be an integer >= 0, got {n!r}")
+    return int(arr)
 
 
 def _int_pairs(values, what: str) -> np.ndarray:
@@ -44,8 +59,6 @@ def _int_pairs(values, what: str) -> np.ndarray:
 
 def _pairs(n: int, edges) -> np.ndarray:
     """Edges as an (m, 2) int64 array with every endpoint in [0, n)."""
-    if n < 0:
-        raise DomainError(f"vertex count must be >= 0, got {n}")
     arr = _int_pairs(edges, "edges")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise DomainError("edge endpoint out of range")
@@ -69,9 +82,8 @@ class Graph:
         pairs are trusted to be in canonical order already, and mult and
         loops may give a multigraph's multiplicities (one per row) and loop
         counts (one per vertex); Graph.from_pairs is the public way to them."""
+        n = _vertex_count(n)
         if _canonical:
-            if n < 0:
-                raise DomainError(f"vertex count must be >= 0, got {n}")
             arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         else:
             if mult is not None or loops is not None:
@@ -89,7 +101,7 @@ class Graph:
         if (mult is not None and np.shape(mult) != (len(arr),)
                 or loops is not None and np.shape(loops) != (n,)):
             raise DomainError("mult needs one entry per edge row, loops one per vertex")
-        self.n = int(n)
+        self.n = n
         self.edge_array = arr
         # normalized so that a multiset without repeats or loops is simple
         if mult is not None and np.all(mult == 1):
@@ -106,6 +118,7 @@ class Graph:
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Graph":
         """A multigraph on unordered pairs; a pair may repeat or be a loop."""
+        n = _vertex_count(n)
         arr = _pairs(n, pairs)
         lo, hi = arr.min(axis=1), arr.max(axis=1)
         is_loop = lo == hi

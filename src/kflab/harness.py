@@ -121,8 +121,8 @@ class ScanConfig:
     def validate(self) -> None:
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
+        if not self.n >= 1 or self.n % 1:
+            raise DomainError(f"n must be an integer >= 1, got {self.n}")
         if not math.isfinite(self.c_from) or not math.isfinite(self.c_to):
             raise DomainError("c_from and c_to must be finite")
         if not self.c_from < self.c_to:

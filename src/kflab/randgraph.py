@@ -1,7 +1,7 @@
 """Random graph and configuration sampling.
 
 Covers G(n, p = c/n) by geometric skips over the C(n, 2) pair indices,
-uniform configurations on a degree sequence, simplicity resampling, and
+uniform configurations on a degree sequence and their multigraphs, and
 the class-respecting re-sampler that draws a configuration uniformly
 among all those sharing the same split-degree information.  Each uniform
 pairing shuffles copies and pairs consecutive ones.  Degrees, classes,
@@ -10,14 +10,12 @@ splits and pairs must be integers: DomainError, never a truncating cast.
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ExhaustionError, InfeasibleError, ParityError
+from .errors import DomainError, InfeasibleError, ParityError
 from .graphs import Graph, _int64, _int_pairs
 from .rng import make_rng
 
@@ -29,9 +27,7 @@ __all__ = [
     "RWInfo",
     "gen_gnp",
     "sample_configuration",
-    "project_multigraph",
     "to_multigraph",
-    "sample_simple_with_degrees",
     "rw_extract",
     "sample_from_rw",
 ]
@@ -52,7 +48,6 @@ class Configuration:
 
     degrees: np.ndarray
     mate: np.ndarray
-    attempts: int = 1
     _owner: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -89,33 +84,11 @@ class Configuration:
         sel = ids < self.mate
         return list(zip(ids[sel].tolist(), self.mate[sel].tolist()))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"degrees": self.degrees.tolist(), "pairing": self.pairs()},
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Configuration":
-        obj = json.loads(text)
-        degrees = _degrees(obj["degrees"])
-        total = int(degrees.sum())
-        pairs = _int_pairs(obj["pairing"], "pairing")
-        if 2 * len(pairs) != total or np.any((pairs < 0) | (pairs >= total)):
-            raise DomainError("pairing must pair up the copy ids 0..total-1")
-        # with exactly total/2 in-range pairs, a reused copy leaves another
-        # at -1 and a pair (a, a) is a fixed point: validate rejects both
-        mate = np.full(total, -1, dtype=np.int64)
-        _pair_consecutive(mate, pairs.ravel())
-        cfg = cls(degrees=degrees, mate=mate)
-        cfg.validate()
-        return cfg
-
 
 def _degrees(values) -> np.ndarray:
     degrees = _int64(values, "degrees")
-    if np.any(degrees < 0):
-        raise DomainError("degrees must be >= 0")
+    if degrees.ndim != 1 or np.any(degrees < 0):
+        raise DomainError("degrees must be a 1-D sequence of integers >= 0")
     return degrees
 
 
@@ -178,34 +151,17 @@ def gen_gnp(n: int, c: float, seed: int) -> Graph:
     return Graph(n, _decode_pair_index(np.concatenate(hits), n), _canonical=True)
 
 
-def _pairings(degrees, seed: int):
-    """Uniform pairings of the copies, one per attempt from one seeded
-    stream: shuffle all copies and pair consecutive ones.  The degrees are
-    checked on the first draw."""
+def sample_configuration(degrees, seed: int) -> Configuration:
+    """Uniform pairing of the copies: shuffle and pair consecutive."""
     degrees = _degrees(degrees)
     total = int(degrees.sum())
     if total % 2 != 0:
         raise ParityError(f"degree sum {total} is odd, no pairing exists")
-    rng = make_rng(seed)
-    for attempt in itertools.count(1):
-        mate = np.empty(total, dtype=np.int64)
-        _pair_consecutive(mate, rng.permutation(total))
-        cfg = Configuration(degrees=degrees, mate=mate, attempts=attempt)
-        cfg.validate()
-        yield cfg
-
-
-def sample_configuration(degrees, seed: int) -> Configuration:
-    """Uniform pairing of the copies: shuffle and pair consecutive."""
-    return next(_pairings(degrees, seed))
-
-
-def project_multigraph(cfg: Configuration) -> tuple[Graph, int, int]:
-    """Collapse to a simple Graph plus (loop_count, multi_edge_count)."""
-    mg = to_multigraph(cfg)
-    loop_count = 0 if mg.loops is None else int(mg.loops.sum())
-    multi_edge_count = 0 if mg.mult is None else int(np.sum(mg.mult - 1))
-    return Graph(cfg.n, mg.edge_array, _canonical=True), loop_count, multi_edge_count
+    mate = np.empty(total, dtype=np.int64)
+    _pair_consecutive(mate, make_rng(seed).permutation(total))
+    cfg = Configuration(degrees=degrees, mate=mate)
+    cfg.validate()
+    return cfg
 
 
 def to_multigraph(cfg: Configuration) -> Graph:
@@ -213,23 +169,6 @@ def to_multigraph(cfg: Configuration) -> Graph:
     ids = np.flatnonzero(np.arange(cfg.copy_count) < cfg.mate)
     owners = np.column_stack([cfg.owner[ids], cfg.owner[cfg.mate[ids]]])
     return Graph.from_pairs(cfg.n, owners)
-
-
-def sample_simple_with_degrees(
-    degrees, seed: int, max_attempts: int = 1000
-) -> Configuration:
-    """Resample configurations until the projection is simple.
-
-    The returned Configuration records how many attempts were used; after
-    max_attempts failures an exhaustion error is raised and the caller may
-    fall back to multigraph mode.
-    """
-    for cfg in itertools.islice(_pairings(degrees, seed), max_attempts):
-        if to_multigraph(cfg).is_simple():
-            return cfg
-    raise ExhaustionError(
-        f"no simple configuration within {max_attempts} attempts"
-    )
 
 
 # ------------------------------------------------------------ RW information
@@ -248,13 +187,6 @@ class RWInfo:
     classes: tuple[int, ...]
     splits: tuple[tuple[int, ...], ...]
     w1_pairs: tuple[tuple[int, int], ...]
-
-    def degree_of(self, v: int) -> int:
-        return sum(self.splits[v])
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.array([self.degree_of(v) for v in range(len(self.classes))])
 
 
 def rw_extract(cfg: Configuration, classes) -> RWInfo:
@@ -301,7 +233,7 @@ def sample_from_rw(info: RWInfo, seed: int) -> Configuration:
     if [len(s) for s in info.splits] != (3 - (classes == W0)).tolist():
         raise DomainError("splits need arity 2 for W0 vertices and 3 for the others")
     # W0 rows are padded to (deg_W0, deg_W1R, 0)
-    split = _degrees([(*s, 0)[:3] for s in info.splits]).reshape(n, 3)
+    split = _degrees([d for s in info.splits for d in (*s, 0)[:3]]).reshape(n, 3)
     degrees = split.sum(axis=1)
     total = int(degrees.sum())
     owner = np.repeat(np.arange(n, dtype=np.int64), degrees)

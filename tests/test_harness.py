@@ -302,6 +302,9 @@ def test_scan_validation():
         scan(ScanConfig(**{**base, "emit_certificate": True}))
     with pytest.raises(DomainError):
         scan(ScanConfig(**base), threads=0)
+    for n in (50.5, float("nan"), 0):
+        with pytest.raises(DomainError):
+            scan(ScanConfig(**{**base, "n": n}))
 
 
 # -------------------------------------------------------------- audits

@@ -174,6 +174,10 @@ def test_seed_mate_validation():
         maximum_matching(2, [(0, 1)], seed_mate=np.array([1.0, 0.9]))  # not integral
     with pytest.raises(DomainError):
         maximum_matching(3, np.array([[0, 1.7]]))  # endpoint not integral
+    with pytest.raises(DomainError):
+        maximum_matching(3, [(0, 1), (2,)])  # ragged, not pairs
+    with pytest.raises(DomainError):
+        maximum_matching(2.5, [(0, 1)])  # vertex count not integral
     # integral floats are vertex ids
     assert maximum_matching(2, [(0.0, 1.0)], seed_mate=[1.0, 0.0]).tolist() == [1, 0]
     g = Graph(4, [(0, 1), (2, 3)])
