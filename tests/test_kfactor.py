@@ -211,6 +211,41 @@ def test_brute_restricted_verdicts_agree():
     assert eligible > 40
 
 
+def brute_corpus():
+    """The hand graphs, then up to three seeded G(n, p) per n = 0..12 and
+    k = 1..4, each with minimum degree >= k."""
+    for g in (BOWTIE, C5, K4, K5):
+        for k in range(1, int(g.degrees.min()) + 1):
+            yield g, k
+    rng = make_rng(1952)
+    for n in range(13):
+        for k in range(1, 5):
+            drawn = 0
+            for _ in range(40):
+                g = random_graph(rng, n, 0.3 + 0.65 * rng.random())
+                if g.n and int(g.degrees.min()) < k:
+                    continue
+                yield g, k
+                drawn += 1
+                if drawn == 3:
+                    break
+
+
+# sha256 over brute_corpus's lines "n k full restricted", each verdict the
+# witness's to_json() or "none"; 137 cases, 32 without a k-factor
+BRUTE_DIGEST = "3512213c6b4ccc45e122936631d3b11446abe7a8ff947679d8bb749b7ca084c0"
+
+
+def test_brute_witness_digest():
+    lines = []
+    for g, k in brute_corpus():
+        found = [brute_force_tutte(g, k, restrict_m1m2=r) for r in (False, True)]
+        lines.append(" ".join([str(g.n), str(k)]
+                              + ["none" if w is None else w.to_json() for w in found]))
+    assert len(lines) == 137
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BRUTE_DIGEST
+
+
 # ------------------------------------------------------------- gadget
 
 
