@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
+from .graphs import _integer
 
 __all__ = [
     "ThresholdParams",
@@ -130,8 +131,7 @@ def c_k_threshold(k: int) -> tuple[float, float]:
     for x < k and above k at 2k.  Bisecting on that sign, not on f itself,
     keeps x_k clear of the float noise of a nearly flat f.
     """
-    if k < 3:
-        raise DomainError(f"c_k_threshold needs k >= 3, got {k}")
+    k = _integer(k, 3, "k")
 
     def falling(x: float) -> bool:
         return poisson_tail(x, k - 1) < (k - 1) * poisson_pmf(x, k - 1)
@@ -146,8 +146,7 @@ def c_k_asymptotic(k: int) -> float:
     q_k = log k - log(2 pi) is only positive from k = 7 on; below that the
     expansion leaves its domain and nan is returned with a warning.
     """
-    if k < 3:
-        raise DomainError(f"c_k_asymptotic needs k >= 3, got {k}")
+    k = _integer(k, 3, "k")
     q = math.log(k) - math.log(2.0 * math.pi)
     if k < 7:
         warnings.warn(
@@ -189,8 +188,7 @@ def default_beta(k: int) -> float:
 
 
 def threshold_params(k: int) -> ThresholdParams:
-    if k < 3:
-        raise DomainError(f"threshold_params needs k >= 3, got {k}")
+    k = _integer(k, 3, "k")
     c_k, _ = c_k_threshold(k)
     beta = default_beta(k)
     return ThresholdParams(

@@ -39,11 +39,15 @@ def _int64(values, what: str) -> np.ndarray:
     return arr
 
 
-def _vertex_count(n) -> int:
-    """n as an int; DomainError unless it is an integer >= 0."""
-    arr = _int64(n, "vertex count")
-    if arr.ndim != 0 or arr < 0:
-        raise DomainError(f"vertex count must be an integer >= 0, got {n!r}")
+def _integer(value, least: int, what: str) -> int:
+    """value as an int; DomainError unless it is an integer >= least.
+    Integral floats pass; 2.5, nan and non-numbers do not."""
+    try:
+        arr = _int64(value, what)
+    except DomainError:
+        arr = None
+    if arr is None or arr.ndim != 0 or arr < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(arr)
 
 
@@ -82,7 +86,7 @@ class Graph:
         pairs are trusted to be in canonical order already, and mult and
         loops may give a multigraph's multiplicities (one per row) and loop
         counts (one per vertex); Graph.from_pairs is the public way to them."""
-        n = _vertex_count(n)
+        n = _integer(n, 0, "vertex count")
         if _canonical:
             arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         else:
@@ -118,7 +122,7 @@ class Graph:
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Graph":
         """A multigraph on unordered pairs; a pair may repeat or be a loop."""
-        n = _vertex_count(n)
+        n = _integer(n, 0, "vertex count")
         arr = _pairs(n, pairs)
         lo, hi = arr.min(axis=1), arr.max(axis=1)
         is_loop = lo == hi

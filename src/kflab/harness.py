@@ -28,7 +28,7 @@ from .analytics import (
     x_of_c,
 )
 from .errors import DomainError
-from .graphs import Graph
+from .graphs import Graph, _integer
 from .kcore import audit_lw0, k_core
 from .kfactor import audit_properties, find_k_factor
 from .randgraph import gen_gnp, sample_configuration, to_multigraph
@@ -119,8 +119,7 @@ class ScanConfig:
     certificate_dir: str | None = None
 
     def validate(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
+        _integer(self.k, 1, "k")
         if not self.n >= 1 or self.n % 1:
             raise DomainError(f"n must be an integer >= 1, got {self.n}")
         if not math.isfinite(self.c_from) or not math.isfinite(self.c_to):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .graphs import Graph
+from .graphs import Graph, _integer
 
 __all__ = [
     "CoreResult",
@@ -43,8 +43,7 @@ class CoreResult:
 
 def k_core(g: Graph, k: int) -> CoreResult:
     """Peel to the maximal induced subgraph with minimum degree >= k."""
-    if k < 1:
-        raise DomainError(f"k_core needs k >= 1, got {k}")
+    k = _integer(k, 1, "k")
     if not g.is_simple():
         raise DomainError("k_core peels simple graphs only")
     deg = g.degrees.copy()

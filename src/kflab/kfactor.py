@@ -8,10 +8,13 @@ degree >= k, says a k-factor exists iff for every disjoint S, T:
 where q(S,T) counts components Q of the rest with k|Q| and e(Q,T) of
 different parity.  This module provides both routes to a verdict:
 
-* brute_force_tutte enumerates all disjoint (S, T) pairs (3^n states,
-  capped at n = 16) and returns a violating witness if one exists,
-  optionally restricted to pairs with S all-high and every counted
-  component containing a high vertex, which preserves the verdict;
+* brute_force_tutte enumerates all disjoint (S, T) pairs (3^n of them,
+  capped at n = 16): per rest U = V - (S u T), in ascending mask order, it
+  finds U's components, then scores every T at once as array arithmetic
+  over the subset tables the exact audit also reads.  It returns the first
+  violating witness, if one exists, optionally restricted to pairs with S
+  all-high and every counted component containing a high vertex, which
+  preserves the verdict;
 * find_k_factor constructs a factor outright through the classical
   reduction to perfect matching (per vertex: one external node per edge
   end, d(v) - k slack nodes, complete bipartite between them), seeded by
@@ -36,7 +39,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, KflabError
-from .graphs import Graph
+from .graphs import Graph, _integer
 from .matching import maximum_matching, perfect_matching_exists
 from .rng import make_rng, spawn_seed
 
@@ -123,13 +126,20 @@ def _mask(g: Graph, vertices: set[int]) -> np.ndarray:
     return out
 
 
-def _adjmask(g: Graph) -> list[int]:
-    """Per-vertex neighbour sets as int bitmasks."""
-    adjmask = [0] * g.n
-    for u, v in g.edge_tuples():
-        adjmask[u] |= 1 << v
-        adjmask[v] |= 1 << u
-    return adjmask
+def _subset_tables(g: Graph):
+    """Tables over every vertex bitmask m of g, as numpy arrays indexed by
+    m: bits[m], m's members as a boolean row; size[m] = |m|; into[m], each
+    vertex's neighbour count in m; e_in[m] = e(m); nbr[m] = N(m) as a mask.
+    Both exhaustive searches, the Tutte pairs and the P1-P6 audit, read them.
+    """
+    n = g.n
+    adj = np.zeros((n, n), dtype=np.int64)
+    u, v = g.edge_array.T
+    adj[u, v] = adj[v, u] = 1
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    into = bits @ adj
+    return (bits, bits.sum(axis=1), into, (into * bits).sum(axis=1) // 2,
+            (into > 0) @ (1 << np.arange(n)))
 
 
 def _require_simple(g) -> Graph:
@@ -142,8 +152,7 @@ def tutte_q(g: Graph, k: int, S, T) -> int:
     """Count components Q of g minus (S u T) with k|Q| and e(Q,T) of
     different parity."""
     _require_simple(g)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    k = _integer(k, 1, "k")
     s, t = _check_sets(g, S, T)
     return _odd_components(g, k, s | t, g.neighbors_in(_mask(g, t)))
 
@@ -179,8 +188,7 @@ def _odd_components(g: Graph, k: int, removed: set[int], t_nbrs) -> int:
 def tutte_check(g: Graph, k: int, S, T) -> TutteWitness:
     """Evaluate the factor inequality for one (S, T) pair."""
     _require_simple(g)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    k = _integer(k, 1, "k")
     deg = g.degrees
     if g.n and int(deg.min()) < k:
         raise DomainError("tutte_check requires minimum degree >= k")
@@ -211,96 +219,60 @@ def brute_force_tutte(g: Graph, k: int, restrict_m1m2: bool = False):
     the existence verdict is unchanged.
     """
     _require_simple(g)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    k = _integer(k, 1, "k")
     n = g.n
     if n > BRUTE_FORCE_CAP:
         raise DomainError(f"brute force capped at n = {BRUTE_FORCE_CAP}, got {n}")
-    deg = [int(d) for d in g.degrees]
-    if n and min(deg) < k:
+    deg = g.degrees
+    if n and int(deg.min()) < k:
         raise DomainError("brute_force_tutte requires minimum degree >= k")
 
-    adjmask = _adjmask(g)
-    high_mask = 0
-    for v in range(n):
-        if deg[v] >= k + 1:
-            high_mask |= 1 << v
+    bits, size, into, e_in, nbr = _subset_tables(g)
+    pw = 1 << np.arange(n)
+    surplus = bits @ np.maximum(deg - k, 0)
+    # lhs - e(S, T) = k|S| + e(S) + surplus[T] + e(T) - e(W), as S u T = W
+    s_part, t_part = k * size + e_in, surplus + e_in
+    parity = size & 1
+    nbr = nbr.tolist()
+    odd = ((into & 1) @ pw).tolist()  # odd[m]: vertices with odd count in m
+    high = int(pw[deg > k].sum())
     full = (1 << n) - 1
 
+    # U ascending, then T ascending within W = V - U, S = W - T.  Under M1
+    # only T containing W's degree-k vertices are drawn: T = fixed | free part
     for u_mask in range(full + 1):
         w_mask = full ^ u_mask
-        wbits = [v for v in range(n) if (w_mask >> v) & 1]
-        w = len(wbits)
-        # components of the untouched set, with the data the inner loop
-        # needs: parity of k|Q|, the W-vertices with odd edge count into Q,
-        # and whether Q has any high vertex (for M2)
-        comps = []
+        free = w_mask & high if restrict_m1m2 else w_mask
+        at = pw[bits[free]]
+        t = (w_mask ^ free) | bits[:1 << len(at), :len(at)] @ at
+        s = w_mask ^ t
+        slack = s_part[s] + t_part[t] - e_in[w_mask]
+        q = np.zeros(len(t), dtype=np.int64)
+        m2_fail = np.False_
         rest = u_mask
-        while rest:
-            seed = rest & -rest
-            comp = seed
-            frontier = seed
-            while frontier:
-                grow = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    grow |= adjmask[b.bit_length() - 1]
-                    f ^= b
-                frontier = grow & u_mask & ~comp
-                comp |= frontier
+        while rest:  # each component of U, grown to its fixpoint
+            comp = rest & -rest
+            while (grown := comp | (nbr[comp] & u_mask)) != comp:
+                comp = grown
             rest ^= comp
-            kq_odd = (k * comp.bit_count()) & 1
-            odd_w = 0
-            for v in wbits:
-                if (adjmask[v] & comp).bit_count() & 1:
-                    odd_w |= 1 << v
-            comps.append((kq_odd, odd_w, (comp & high_mask) == 0))
-
-        # subset DP over T <= W on local indices; S = W minus T
-        size = 1 << w
-        vmask = [0] * size
-        e_in = [0] * size
-        th_sum = [0] * size
-        for t_local in range(1, size):
-            lb = t_local & -t_local
-            i = lb.bit_length() - 1
-            prev = t_local ^ lb
-            v = wbits[i]
-            vm = vmask[prev]
-            vmask[t_local] = vm | (1 << v)
-            e_in[t_local] = e_in[prev] + (adjmask[v] & vm).bit_count()
-            th_sum[t_local] = th_sum[prev] + (deg[v] - k if deg[v] > k else 0)
-        e_w = e_in[size - 1]
-
-        for t_local in range(size):
-            s_local = (size - 1) ^ t_local
-            t_mask = vmask[t_local]
-            s_mask = vmask[s_local]
-            if restrict_m1m2 and s_mask & ~high_mask:
-                continue  # M1: S must avoid degree-k vertices
-            q = 0
-            m2_fail = False
-            for kq_odd, odd_w, all_low in comps:
-                if ((odd_w & t_mask).bit_count() & 1) != kq_odd:
-                    q += 1
-                    if all_low:
-                        m2_fail = True
-            if restrict_m1m2 and m2_fail:
-                continue
-            e_st = e_w - e_in[t_local] - e_in[s_local]
-            lhs = k * s_local.bit_count() + th_sum[t_local]
-            rhs = q + e_st
-            if lhs < rhs:
-                return TutteWitness(
-                    S=tuple(v for v in wbits if (s_mask >> v) & 1),
-                    T=tuple(v for v in wbits if (t_mask >> v) & 1),
-                    q=q,
-                    e_st=e_st,
-                    lhs=lhs,
-                    rhs=rhs,
-                    violated=True,
-                )
+            counted = parity[t & odd[comp]] != (k * comp.bit_count()) & 1
+            q += counted
+            if restrict_m1m2 and not comp & high:
+                m2_fail = m2_fail | counted
+        bad = (slack < q) & ~m2_fail
+        i = int(bad.argmax())
+        if bad[i]:
+            S, T = int(s[i]), int(t[i])
+            e_st = int(e_in[w_mask] - e_in[S] - e_in[T])
+            return TutteWitness(
+                S=tuple(np.flatnonzero(bits[S]).tolist()),
+                T=tuple(np.flatnonzero(bits[T]).tolist()),
+                q=int(q[i]),
+                e_st=e_st,
+                lhs=int(k * size[S] + surplus[T]),
+                rhs=int(q[i]) + e_st,
+                violated=True,
+            )
     return None
 
 
@@ -354,8 +326,7 @@ def _host_instances(g) -> np.ndarray:
 
 
 def gadget_reduce(g, k: int) -> GadgetReduction:
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    k = _integer(k, 1, "k")
     rows = _host_instances(g)
     n, deg = g.n, g.degrees
     low = np.flatnonzero(deg < k)
@@ -491,8 +462,7 @@ def find_k_factor(g, k: int):
     greedy subgraph, and completed by the matching engine; the resulting
     certificate is re-verified before it is returned.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    k = _integer(k, 1, "k")
     rows = _host_instances(g)
     if (k * g.n) % 2 == 1 or np.any(g.degrees < k):
         return None
@@ -662,12 +632,7 @@ def _audit_exact(g: Graph, k, eps0, gamma) -> list[PropertyResult]:
     n = g.n
     props = _properties(n, k, eps0, gamma)
     masks = np.arange(1 << n)
-    bits = (masks[:, None] >> np.arange(n)) & 1  # row m: the members of mask m
-    size = bits.sum(axis=1)
-    # row m: each vertex's neighbour count in m
-    into = size[masks[:, None] & np.array(_adjmask(g), dtype=np.int64)]
-    e_in = (into * bits).sum(axis=1) // 2
-    nbr = (into > 0) @ (1 << np.arange(n))  # N(m) as a mask
+    bits, size, _, e_in, nbr = _subset_tables(g)
     dsum = bits @ g.degrees
 
     def blocks():
@@ -830,8 +795,7 @@ def audit_properties(
     for strict bounds) means violated.
     """
     _require_simple(K)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    k = _integer(k, 1, "k")
     if not 0 < epsilon0 <= 1 or not 0 < gamma <= 1:
         raise DomainError("epsilon0 and gamma must be in (0, 1]")
     if sample_budget < 1:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .analytics import default_beta
 from .errors import DomainError
-from .graphs import Graph
+from .graphs import Graph, _integer
 from .randgraph import R, W0, W1
 
 __all__ = [
@@ -175,8 +175,7 @@ class StripState:
         ambient_n: int | None = None,
         debug: bool = False,
     ):
-        if k < 1:
-            raise DomainError(f"strip needs k >= 1, got {k}")
+        k = _integer(k, 1, "k")
         if not isinstance(core, Graph):
             raise DomainError(f"core must be a Graph, got {type(core)!r}")
         n = core.n

@@ -36,43 +36,13 @@ from kflab.randgraph import (
 )
 from kflab.rng import make_rng, spawn_seed
 from kflab.strip import run_strip, verify_K
+from oracles import regular_subgraph_exists
 
 
 def report(name: str, ok: bool, detail: str) -> None:
     line = f"{name}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
     assert ok, line
-
-
-def regular_subgraph_exists(g: Graph, k: int) -> bool:
-    """Backtracking over edge subsets with remaining-capacity pruning;
-    shares nothing with the library's two factor routes."""
-    edges = list(g.edge_tuples())
-    need = [k] * g.n
-    remaining = [[0] * g.n for _ in range(len(edges) + 1)]
-    for i in range(len(edges) - 1, -1, -1):
-        u, v = edges[i]
-        row = remaining[i + 1][:]
-        row[u] += 1
-        row[v] += 1
-        remaining[i] = row
-
-    def rec(i, need):
-        if any(need[v] > remaining[i][v] for v in range(g.n)):
-            return False
-        if i == len(edges):
-            return all(x == 0 for x in need)
-        u, v = edges[i]
-        if need[u] > 0 and need[v] > 0:
-            need[u] -= 1
-            need[v] -= 1
-            if rec(i + 1, need):
-                return True
-            need[u] += 1
-            need[v] += 1
-        return rec(i + 1, need)
-
-    return rec(0, need)
 
 
 def three_way_agree(g: Graph, k: int) -> bool:

@@ -104,6 +104,14 @@ def test_c_k_threshold_rejects_small_k():
         A.c_k_threshold(2)
 
 
+def test_k_must_be_an_integer():
+    for f in (A.c_k_threshold, A.c_k_asymptotic, A.threshold_params):
+        for k in (3.5, math.nan, "4", None):
+            with pytest.raises(DomainError):
+                f(k)
+        assert f(7.0) == f(7)
+
+
 # ---------------------------------------------------------------- asymptotics
 
 def test_c_k_asymptotic_closed_form_point():

@@ -305,6 +305,9 @@ def test_scan_validation():
     for n in (50.5, float("nan"), 0):
         with pytest.raises(DomainError):
             scan(ScanConfig(**{**base, "n": n}))
+    for k in (2.5, float("nan"), 0):
+        with pytest.raises(DomainError):
+            scan(ScanConfig(**{**base, "k": k}))
 
 
 # -------------------------------------------------------------- audits

@@ -119,6 +119,15 @@ def test_rejects_nonpositive_k():
         k_core(HOUSE, 0)
 
 
+def test_k_must_be_an_integer():
+    # 2.5 used to peel the 3-core
+    for k in (2.5, float("nan"), "2", None):
+        with pytest.raises(DomainError):
+            k_core(HOUSE, k)
+    res = k_core(HOUSE, 2.0)
+    assert res.core == HOUSE and res.peel_order == ()
+
+
 def test_rejects_multigraph():
     # peeling decrements one degree per distinct neighbor
     with pytest.raises(DomainError):

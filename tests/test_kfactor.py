@@ -41,6 +41,7 @@ from kflab.kfactor import (
 from kflab.matching import maximum_matching
 from kflab.randgraph import gen_gnp, sample_configuration, to_multigraph
 from kflab.rng import make_rng
+from oracles import regular_subgraph_exists
 
 # two triangles sharing vertex 0: its only deg >= 2 obstruction is the cut
 # vertex, which cannot serve both triangles in a 2-regular subgraph
@@ -56,39 +57,6 @@ def random_graph(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return Graph(n, edges)
-
-
-def regular_subgraph_exists(g: Graph, k: int) -> bool:
-    """Direct backtracking over edge subsets: keep or drop each edge,
-    pruning on over/under-full vertices.  Independent of all library
-    counting, usable up to a few dozen edges."""
-    edges = list(g.edge_tuples())
-    need = [k] * g.n
-    # remcap[i] = how much degree vertex v can still gain from edges >= i
-    remaining = [[0] * g.n for _ in range(len(edges) + 1)]
-    for i in range(len(edges) - 1, -1, -1):
-        u, v = edges[i]
-        row = remaining[i + 1][:]
-        row[u] += 1
-        row[v] += 1
-        remaining[i] = row
-
-    def rec(i, need):
-        if any(need[v] > remaining[i][v] for v in range(g.n)):
-            return False
-        if i == len(edges):
-            return all(x == 0 for x in need)
-        u, v = edges[i]
-        if need[u] > 0 and need[v] > 0:
-            need[u] -= 1
-            need[v] -= 1
-            if rec(i + 1, need):
-                return True
-            need[u] += 1
-            need[v] += 1
-        return rec(i + 1, need)
-
-    return rec(0, need)
 
 
 # ------------------------------------------------------------ tutte_q
@@ -209,6 +177,17 @@ def test_brute_restricted_verdicts_agree():
         assert (full is None) == (restricted is None)
         eligible += 1
     assert eligible > 40
+
+
+def test_brute_at_cap_agrees_with_factor():
+    # a 3-factor exists, so all 3^16 (S, T) pairs are scored
+    rng = make_rng(16)
+    g = random_graph(rng, BRUTE_FORCE_CAP, 0.3)
+    while int(g.degrees.min()) < 3:
+        g = random_graph(rng, BRUTE_FORCE_CAP, 0.3)
+    cert = find_k_factor(g, 3)
+    assert cert is not None and verify_k_factor(g, cert.edges, 3)
+    assert brute_force_tutte(g, 3) is None
 
 
 def brute_corpus():
@@ -564,6 +543,20 @@ def test_factor_rejects_loops():
 def test_factor_k_guard():
     with pytest.raises(DomainError):
         find_k_factor(C4, 0)
+
+
+def test_k_must_be_an_integer():
+    calls = (lambda k: tutte_q(K5, k, set(), set()),
+             lambda k: tutte_check(K5, k, set(), set()),
+             lambda k: brute_force_tutte(BOWTIE, k),
+             lambda k: gadget_reduce(K5, k).k,
+             lambda k: find_k_factor(K5, k),
+             lambda k: audit_properties(K5, k))
+    for call in calls:
+        for k in (2.5, math.nan, "2", None):
+            with pytest.raises(DomainError):
+                call(k)
+        assert call(2.0) == call(2)
 
 
 # Seeded k-cores of G(n, (c_k + offset)/n) whose greedy seed leaves exposed

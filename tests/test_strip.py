@@ -139,6 +139,13 @@ def test_rejects_degree_below_k():
         run_strip(HOUSE, 0)
 
 
+def test_k_must_be_an_integer():
+    for k in (2.5, float("nan"), "2", None):
+        with pytest.raises(DomainError):
+            StripState(K5, k)
+    assert StripState(K5, 4.0).k == 4
+
+
 def test_cap_reached_halts_early():
     res = run_strip(HOUSE, 2, beta_override=0.2, debug=True)
     # cap = ceil(0.2 * 5) = 1: one deletion, queue still nonempty
