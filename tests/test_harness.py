@@ -6,12 +6,15 @@ count and any execution order; the pinned n=200 scan below is the frozen
 reference for the CSV schema.
 """
 
+import gc
 import hashlib
 import json
 import os
+import weakref
 
 import pytest
 
+from kflab import harness
 from kflab.analytics import c_k_threshold, g_branching, x_of_c
 from kflab.errors import DomainError
 from kflab.graphs import Graph, format_edge_text, parse_edge_text
@@ -126,6 +129,43 @@ def test_multigraph_mode_runs():
     assert r.error == ""
     r2 = run_pipeline(800, c, 3, seed=3, mode="multigraph", beta_override=0.1)
     assert r.to_csv_row().rsplit(",", 1)[0] == r2.to_csv_row().rsplit(",", 1)[0]
+
+
+@pytest.mark.parametrize("mode", ["simple", "multigraph"])
+def test_pipeline_releases_stage_inputs(monkeypatch, mode):
+    # each stage's input is freed once no later stage reads it: the
+    # configuration and the core result before the deletion procedure
+    # starts, and the host's edges before parity repair starts
+    refs, alive = {}, {}
+
+    def spy(name, record=None, check=()):
+        fn = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            if check:
+                gc.collect()
+                alive[name] = [ref for ref in check if refs[ref]() is not None]
+            out = fn(*args, **kwargs)
+            for ref, part in (record or {}).items():
+                refs[ref] = weakref.ref(part(out))
+            return out
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    # in simple mode the host is the core itself
+    spy("k_core", {"core result": lambda cr: cr,
+                   "host edges": lambda cr: cr.core.edge_array})
+    spy("sample_configuration", {"configuration": lambda cfg: cfg})
+    spy("to_multigraph", {"host edges": lambda g: g.edge_array})
+    before_strip = ["core result"]
+    if mode == "multigraph":
+        before_strip.append("configuration")
+    spy("run_strip", check=before_strip)
+    spy("enforce_parity", check=["host edges"])
+    r = run_pipeline(2000, c_k_threshold(3)[0] + 1, 3, seed=4, mode=mode,
+                     beta_override=0.1)
+    assert r.error == "" and r.core_size > 0
+    assert alive == {"run_strip": [], "enforce_parity": []}
 
 
 # ---------------------------------------------------------------- scan
@@ -308,6 +348,21 @@ def test_scan_validation():
     for k in (2.5, float("nan"), 0):
         with pytest.raises(DomainError):
             scan(ScanConfig(**{**base, "k": k}))
+
+
+def test_scan_validation_integer_fields():
+    base = dict(k=3, n=50, c_from=1.0, c_to=2.0, steps=2, trials=2,
+                base_seed=0)
+    for field, value in (("steps", 2.5), ("trials", 1.5), ("n", "50"),
+                         ("steps", "2"), ("trials", None)):
+        with pytest.raises(DomainError, match=field):
+            scan(ScanConfig(**{**base, field: value}))
+    # integral floats pass and run as their integers
+    records, summary = scan(ScanConfig(**base))
+    as_floats = {**base, "k": 3.0, "n": 50.0, "steps": 2.0, "trials": 2.0}
+    float_records, float_summary = scan(ScanConfig(**as_floats))
+    assert rows_without_wall(float_records) == rows_without_wall(records)
+    assert json.dumps(float_summary) == json.dumps(summary)
 
 
 # -------------------------------------------------------------- audits

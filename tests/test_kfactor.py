@@ -452,6 +452,34 @@ def test_factor_golden_more_mates(monkeypatch):
         check_golden_mates(calls, host, found, seed_digest, mate_digest, (kind, seed))
 
 
+# sha256 over the chosen masks _greedy_degree_saturation returns, as bytes
+# of one '0'/'1' per host edge instance and a ';' after each host: 4-cores
+# of G(600, (c_4 + 0.2)/n) by gen_gnp seed (the factor_none workload's
+# hosts), then configuration multigraphs pairing the degrees of 4-cores of
+# G(300, (c_4 + 0.2)/n), loops stripped as a scan strips them.
+GREEDY_DIGEST = "ffbfbe4248945e13c970b21b72b857239db2c83d02e72e380cb2d83e50fbb823"
+
+
+def greedy_hosts():
+    c = c_k_threshold(4)[0] + 0.2
+    for seed in range(40):
+        yield k_core(gen_gnp(600, c, seed), 4).core
+    for seed in range(20):
+        degrees = k_core(gen_gnp(300, c, seed), 4).core.degrees
+        yield _strip_loops(to_multigraph(sample_configuration(degrees, seed)))
+
+
+def test_greedy_digest():
+    h = hashlib.sha256()
+    chosen_total = 0
+    for host in greedy_hosts():
+        chosen = _greedy_degree_saturation(host.n, _host_instances(host), 4)
+        chosen_total += sum(chosen)
+        h.update("".join("01"[c] for c in chosen).encode() + b";")
+    assert chosen_total > 0
+    assert h.hexdigest() == GREEDY_DIGEST
+
+
 def count_perfect_matchings(n, edges):
     adj = [[] for _ in range(n)]
     for u, v in edges:

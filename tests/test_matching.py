@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kflab import matching
 from kflab.errors import DomainError
 from kflab.graphs import Graph
 from kflab.matching import maximum_matching, perfect_matching_exists
@@ -200,6 +201,28 @@ def test_graph_input_equals_pairs():
             seed[u], seed[v] = v, u
         assert (maximum_matching(n, g, seed_mate=seed).tolist()
                 == maximum_matching(n, g.edge_array, seed_mate=seed).tolist())
+
+
+def test_phase_reads_graph_csr_without_copy(monkeypatch):
+    # the engine walks the Graph's cached CSR arrays, not copies of them
+    seen = []
+    real_phase = matching._phase
+
+    def spy(xadj, nbr, mate):
+        seen.append((xadj, nbr))
+        return real_phase(xadj, nbr, mate)
+
+    monkeypatch.setattr(matching, "_phase", spy)
+    g = Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
+    mate = maximum_matching(g.n, g)
+    assert perfect_matching_exists(mate)
+    xadj, nbr, _ = g.csr()
+    assert len(seen) >= 2
+    for view_xadj, view_nbr in seen:
+        assert np.shares_memory(np.asarray(view_xadj), xadj)
+        assert np.shares_memory(np.asarray(view_nbr), nbr)
+        assert list(view_xadj) == xadj.tolist()
+        assert list(view_nbr) == nbr.tolist()
 
 
 def test_seeded_equals_unseeded_cardinality():
