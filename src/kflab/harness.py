@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -118,24 +118,29 @@ class ScanConfig:
     emit_certificate: bool = False
     certificate_dir: str | None = None
 
-    def validate(self) -> None:
-        _integer(self.k, 1, "k")
-        if not self.n >= 1 or self.n % 1:
-            raise DomainError(f"n must be an integer >= 1, got {self.n}")
+    def validate(self) -> "ScanConfig":
+        """Check every field; return the config with k, n, steps and
+        trials as ints (integral floats pass)."""
+        checked = replace(
+            self,
+            k=_integer(self.k, 1, "k"),
+            n=_integer(self.n, 1, "n"),
+            steps=_integer(self.steps, 1, "steps"),
+            trials=_integer(self.trials, 1, "trials"),
+        )
         if not math.isfinite(self.c_from) or not math.isfinite(self.c_to):
             raise DomainError("c_from and c_to must be finite")
         if not self.c_from < self.c_to:
             raise DomainError("c_from must be < c_to")
-        if self.steps < 1 or self.trials < 1:
-            raise DomainError("steps and trials must be >= 1")
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
-        strip_cap(self.k, self.n, self.beta_override, self.cap_multiplier)
+        strip_cap(checked.k, checked.n, self.beta_override, self.cap_multiplier)
         if self.emit_certificate and not (self.certificate_dir or self.out_csv):
             raise DomainError(
                 "emit_certificate needs certificate_dir or out_csv to "
                 "derive a location"
             )
+        return checked
 
     def c_grid(self) -> list[float]:
         return [float(c) for c in np.linspace(self.c_from, self.c_to, self.steps)]
@@ -174,12 +179,15 @@ def _pipeline(n, c, k, seed, trial, mode, beta_override, cap_multiplier):
         else:
             stage = "strip"
             if mode == "multigraph":
-                cfg = sample_configuration(
-                    cr.core.degrees, spawn_seed(seed, "config")
-                )
+                # the multigraph reads only the core's degrees, which the
+                # configuration holds, so the core is freed before it is built
+                cfg = sample_configuration(cr.core.degrees, spawn_seed(seed, "config"))
+                del cr
                 host = to_multigraph(cfg)
+                del cfg
             else:
                 host = cr.core
+                del cr
             res = run_strip(
                 host,
                 k,
@@ -187,6 +195,7 @@ def _pipeline(n, c, k, seed, trial, mode, beta_override, cap_multiplier):
                 beta_override=beta_override,
                 ambient_n=n,
             )
+            del host  # K is a compacted copy of what the deletions kept
             stage = "parity"
             res = enforce_parity(res, k)
             K = res.K
@@ -264,7 +273,7 @@ def scan(config: ScanConfig, threads: int = 1):
     trial), and results come back in task order (grid point, then trial),
     so the output is identical for any thread count.
     """
-    config.validate()
+    config = config.validate()
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     grid = config.c_grid()

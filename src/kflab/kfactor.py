@@ -365,6 +365,9 @@ def gadget_reduce(g, k: int) -> GadgetReduction:
     partner_first[hi] = 1
     nbr[xadj[block_ext] + partner_first[block_ext] + j] = block_slack
     nbr[xadj[block_slack] + i] = block_ext
+    # the slack block's index arrays are as long as its edges; free them
+    # before the edge array is built
+    del owner, local, i, j, block_ext, block_slack
     return GadgetReduction(
         n_host=n,
         k=k,
@@ -383,21 +386,27 @@ def _greedy_degree_saturation(n, rows, k) -> list[bool]:
     requirement must take them all; otherwise edges are taken in input
     order.  Deterministic; linear in the instance count.
     """
-    instances = rows.tolist()
-    m = len(instances)
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for j, (u, v) in enumerate(instances):
-        incident[u].append((j, v))
-        incident[v].append((j, u))
+    m = len(rows)
+    ends = rows.ravel()
+    # the ends of instance j sit at positions 2j and 2j + 1; sorted stably
+    # by vertex, v's ends are start[v]:start[v + 1], in instance order
+    order = np.argsort(ends, kind="stable")
+    deg = np.bincount(ends, minlength=n)
+    start = memoryview(np.concatenate([[0], np.cumsum(deg)]))
+    inst = memoryview(order >> 1)
+    other = memoryview(ends[order ^ 1])
+    ends = memoryview(ends)
     need = [k] * n
-    rem = [len(inc) for inc in incident]
+    rem = deg.tolist()
     chosen = [False] * m
     undecided = [True] * m
     forced = deque(v for v in range(n) if 0 < need[v] >= rem[v])
 
     def waste(v: int) -> None:
-        for j, u in incident[v]:
+        for e in range(start[v], start[v + 1]):
+            j = inst[e]
             if undecided[j]:
+                u = other[e]
                 undecided[j] = False
                 rem[v] -= 1
                 rem[u] -= 1
@@ -423,17 +432,18 @@ def _greedy_degree_saturation(n, rows, k) -> list[bool]:
             v = forced.popleft()
             if need[v] <= 0:
                 continue
-            for j, u in incident[v]:
+            for e in range(start[v], start[v + 1]):
+                j, u = inst[e], other[e]
                 if undecided[j] and need[v] > 0 and need[u] > 0:
                     take(j, v, u)
         while cursor < m:
-            u, v = instances[cursor]
+            u, v = ends[2 * cursor], ends[2 * cursor + 1]
             if undecided[cursor] and need[u] > 0 and need[v] > 0:
                 break
             cursor += 1
         if cursor == m:
             break
-        take(cursor, *instances[cursor])
+        take(cursor, u, v)
     return chosen
 
 

@@ -30,10 +30,11 @@ first phase pairs exposed neighbours, which is all a greedy pre-pass
 would do.  Ties are broken by vertex id: roots are queued ascending and
 rows are scanned in CSR order.
 
-The engine walks a CSR: the rows of a Graph's csr(), each ascending, held
-as two flat Python lists.  Edges given as pairs are canonicalised with
-Graph.from_pairs first; a Graph is used as is, so a caller that already
-holds its CSR (the k-factor gadget) pays for no sort.
+The engine walks a CSR: the rows of a Graph's csr(), each ascending, read
+through memoryviews of its cached int64 arrays, so no copy of them is
+made; only the mate array is a Python list.  Edges given as pairs are
+canonicalised with Graph.from_pairs first; a Graph is used as is, so a
+caller that already holds its CSR (the k-factor gadget) pays for no sort.
 """
 
 from collections import deque
@@ -184,7 +185,7 @@ def maximum_matching(n: int, edges, seed_mate=None) -> np.ndarray:
         raise DomainError("seed_mate uses a non-edge")
 
     xadj, nbr, _ = g.csr()
-    xadj, nbr = xadj.tolist(), nbr.tolist()
+    xadj, nbr = memoryview(xadj), memoryview(nbr)
     mate = seed.tolist()
     while _phase(xadj, nbr, mate):
         pass
