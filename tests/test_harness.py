@@ -16,6 +16,7 @@ import pytest
 
 from kflab import harness
 from kflab.analytics import c_k_threshold, g_branching, x_of_c
+from kflab.cli import main
 from kflab.errors import DomainError
 from kflab.graphs import Graph, format_edge_text, parse_edge_text
 from kflab.harness import (
@@ -391,19 +392,33 @@ def test_audit_dispatch():
 
 # sha256 of each audit report on one seeded G(n, c/n) near c_5 (the P
 # audit samples, since n > 12), recorded before the neighbour counts moved
-# onto Graph.neighbors_in.
+# onto Graph.neighbors_in.  Each is taken over `kflab audit`'s stdout
+# without the newline the CLI appends to a JSON report.
 GOLDEN_AUDITS = {
     "lw0": "c0514d45eb43eb5f17a8a4cf51d84f2225f1f0654634ea8da53f393c581af716",
     "P": "dec8b6abcdca1fc3cee74d0a56c15fd91a232b7fe1d0c0cd5352e2e010cfe656",
     "elbr": "ea4e2e22553083cf6720ce259c0194364bac656c3de2b2f7e08077d94a795903",
 }
+# sha256 of `kflab audit --which trace` on the same graph: the whole
+# stdout, since the trace CSV ends in its own newline.
+GOLDEN_TRACE_AUDIT = (
+    "6ecd0a010b0f7d448f4ebce64eb040decdbf0d356c01c373897c8e5395bf4d53"
+)
 
 
-def test_audit_golden_outputs():
-    g = gen_gnp(3000, c_k_threshold(5)[0] + 0.2, seed=7)
+def test_audit_golden_outputs(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_text(gen_gnp(3000, c_k_threshold(5)[0] + 0.2, seed=7)))
+
+    def audit(which):
+        assert main(["audit", str(path), "--k", "5", "--which", which]) == 0
+        return capsys.readouterr().out
+
     for which, digest in GOLDEN_AUDITS.items():
-        out = audit_graph(g, 5, which)
+        out = audit(which).removesuffix("\n")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, which
+    trace = audit("trace")
+    assert hashlib.sha256(trace.encode()).hexdigest() == GOLDEN_TRACE_AUDIT
 
 
 def test_audit_empty_graph_file():
