@@ -224,9 +224,8 @@ class CoreLaw:
 
 def core_law(c: float, k: int, i_max: int) -> CoreLaw:
     """Evaluate the limiting core law; requires c >= c_k."""
-    if i_max < k:
-        raise DomainError(f"core_law needs i_max >= k, got i_max={i_max}, k={k}")
     c_k, x_k = c_k_threshold(k)
+    i_max = _integer(i_max, k, "i_max")
     x = x_of_c(c, k)
     zeta = poisson_tail(x, k)
     lam = tuple(poisson_pmf(x, i) for i in range(k, i_max + 1))

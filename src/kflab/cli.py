@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import DomainError, InfeasibleError, KflabError
 from .graphs import format_edge_text, parse_edge_text
-from .harness import AUDIT_KINDS, MODES, ScanConfig, audit_graph, law_report, records_to_csv, scan
-from .kcore import k_core
-from .kfactor import find_k_factor
+from .harness import MODES, ScanConfig, elbr_report, law_report, records_to_csv, scan
+from .kcore import audit_lw0, k_core
+from .kfactor import audit_properties, find_k_factor
 from .randgraph import gen_gnp
 from .strip import enforce_parity, run_strip, verify_K
 
@@ -67,7 +66,6 @@ def _cmd_strip(args) -> int:
     res = run_strip(
         g,
         args.k,
-        cap_multiplier=args.cap_multiplier,
         beta_override=args.beta_override,
     )
     res = enforce_parity(res, args.k)
@@ -99,13 +97,6 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    threads = args.threads
-    env = os.environ.get("KFLAB_THREADS")
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise DomainError(f"KFLAB_THREADS must be an int, got {env!r}") from exc
     config = ScanConfig(
         k=args.k,
         n=args.n,
@@ -116,13 +107,11 @@ def _cmd_scan(args) -> int:
         base_seed=args.seed,
         mode=args.mode,
         beta_override=args.beta_override,
-        cap_multiplier=args.cap_multiplier,
         out_csv=args.out,
         out_summary=args.summary_out,
-        emit_certificate=args.emit_certificate,
         certificate_dir=args.cert_dir,
     )
-    records, summary = scan(config, threads=threads)
+    records, summary = scan(config, threads=args.threads)
     if args.out:
         print(json.dumps(summary, sort_keys=True))
     else:
@@ -131,18 +120,24 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    report = audit_graph(
-        _read_graph(args.path),
-        args.k,
-        args.which,
-        c=args.c,
-        beta_override=args.beta_override,
-        cap_multiplier=args.cap_multiplier,
-        epsilon0=args.epsilon0,
-        gamma=args.gamma,
-        sample_budget=args.sample_budget,
-        seed=args.seed,
-    )
+    g = _read_graph(args.path)
+    if args.which == "lw0":
+        report = audit_lw0(k_core(g, args.k), args.k).to_json()
+    elif args.which == "P":
+        report = audit_properties(
+            g,
+            args.k,
+            epsilon0=args.epsilon0,
+            gamma=args.gamma,
+            sample_budget=args.sample_budget,
+            seed=args.seed,
+        ).to_json()
+    elif args.which == "elbr":
+        report = json.dumps(elbr_report(g, args.k, c=args.c), separators=(",", ":"))
+    else:  # trace
+        core = k_core(g, args.k).core
+        res = run_strip(core, args.k, beta_override=args.beta_override)
+        report = res.trace.to_csv()
     if not report.endswith("\n"):
         report += "\n"
     _emit(report, args.out)
@@ -153,13 +148,6 @@ def _cmd_law(args) -> int:
     out = law_report(args.k, c=args.c, i_max=args.i_max)
     _emit(json.dumps(out, sort_keys=True) + "\n", args.out)
     return 0
-
-
-def _add_cap_flags(p: argparse.ArgumentParser, beta_default=None) -> None:
-    p.add_argument("--beta-override", type=float, default=beta_default,
-                   help="replace e^(-k/200) in the deletion cap")
-    p.add_argument("--cap-multiplier", type=float, default=None,
-                   help="scale the deletion cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strip", help="run the deletion procedure on a core")
     p.add_argument("path")
     p.add_argument("--k", type=int, required=True)
-    _add_cap_flags(p)
+    p.add_argument("--beta-override", type=float, default=None,
+                   help="replace e^(-k/200) in the deletion cap")
     p.add_argument("--out", default=None, help="write the remainder graph")
     p.set_defaults(func=_cmd_strip)
 
@@ -205,22 +194,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=MODES, default="simple")
-    _add_cap_flags(p, beta_default=0.1)
+    p.add_argument("--beta-override", type=float, default=0.1,
+                   help="replace e^(-k/200) in the deletion cap")
     p.add_argument("--out", default=None, help="CSV destination")
     p.add_argument("--summary-out", default=None)
-    p.add_argument("--emit-certificate", action="store_true")
-    p.add_argument("--cert-dir", default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="KFLAB_THREADS overrides this")
+    p.add_argument("--cert-dir", default=None,
+                   help="write each factor found here as a JSON certificate")
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("audit", help="measurement reports on a graph file")
     p.add_argument("path")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--which", choices=AUDIT_KINDS, required=True)
+    p.add_argument("--which", choices=("lw0", "P", "elbr", "trace"), required=True)
     p.add_argument("--c", type=float, default=None,
                    help="density for the analytic reference lines")
-    _add_cap_flags(p)
+    p.add_argument("--beta-override", type=float, default=None,
+                   help="replace e^(-k/200) in the deletion cap")
     p.add_argument("--epsilon0", type=float, default=0.01)
     p.add_argument("--gamma", type=float, default=0.1)
     p.add_argument("--sample-budget", type=int, default=2000)

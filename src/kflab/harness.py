@@ -3,9 +3,11 @@
 run_pipeline chains generation, core extraction, the deletion procedure,
 parity repair, remainder checks, and factor construction into one record;
 scan fans pipeline runs over a density grid with per-trial derived seeds,
-so any thread count and execution order produce the same rows.  audit_graph
-dispatches the measurement-style reports (pre-deletion structure, the
-expansion properties, the degree-k branching ratio, or a deletion trace).
+so any thread count and execution order produce the same rows.  elbr_report
+measures the degree-k branching ratio of a core and law_report gathers the
+analytic constants; the other audits are kcore.audit_lw0,
+kfactor.audit_properties and strip.run_strip's trace, which kflab audit
+calls directly.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .analytics import (
 )
 from .errors import DomainError
 from .graphs import Graph, _integer
-from .kcore import audit_lw0, k_core
-from .kfactor import audit_properties, find_k_factor
+from .kcore import k_core
+from .kfactor import find_k_factor
 from .randgraph import gen_gnp, sample_configuration, to_multigraph
-from .rng import spawn_seed
+from .rng import _seed, spawn_seed
 from .strip import enforce_parity, run_strip, strip_cap, verify_K
 
 __all__ = [
@@ -42,7 +44,6 @@ __all__ = [
     "run_pipeline",
     "scan",
     "records_to_csv",
-    "audit_graph",
     "elbr_report",
     "law_report",
 ]
@@ -100,7 +101,8 @@ class ScanConfig:
 
     The cap policy is run_strip's (strip.strip_cap), checked by validate
     before any trial runs.  The desk-scale default beta_override = 0.1
-    caps deletions at n/10.
+    caps deletions at n/10.  A certificate_dir receives one JSON file per
+    factor found, named by grid index and trial.
     """
 
     k: int
@@ -112,38 +114,40 @@ class ScanConfig:
     base_seed: int
     mode: str = "simple"
     beta_override: float | None = 0.1
-    cap_multiplier: float | None = None
     out_csv: str | None = None
     out_summary: str | None = None
-    emit_certificate: bool = False
     certificate_dir: str | None = None
 
     def validate(self) -> "ScanConfig":
-        """Check every field; return the config with k, n, steps and
-        trials as ints (integral floats pass)."""
-        checked = replace(
+        """Check every field; return the config with k, n, steps, trials
+        and base_seed as ints (integral floats pass, except as the seed)."""
+        n, k = _check_run(self.n, self.k, self.mode, self.beta_override)
+        if not 0 <= self.c_from < self.c_to < math.inf:
+            raise DomainError(
+                f"need 0 <= c_from < c_to, both finite; got {self.c_from}, {self.c_to}"
+            )
+        return replace(
             self,
-            k=_integer(self.k, 1, "k"),
-            n=_integer(self.n, 1, "n"),
+            k=k,
+            n=n,
             steps=_integer(self.steps, 1, "steps"),
             trials=_integer(self.trials, 1, "trials"),
+            base_seed=_seed(self.base_seed, "base_seed"),
         )
-        if not math.isfinite(self.c_from) or not math.isfinite(self.c_to):
-            raise DomainError("c_from and c_to must be finite")
-        if not self.c_from < self.c_to:
-            raise DomainError("c_from must be < c_to")
-        if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
-        strip_cap(checked.k, checked.n, self.beta_override, self.cap_multiplier)
-        if self.emit_certificate and not (self.certificate_dir or self.out_csv):
-            raise DomainError(
-                "emit_certificate needs certificate_dir or out_csv to "
-                "derive a location"
-            )
-        return checked
 
     def c_grid(self) -> list[float]:
         return [float(c) for c in np.linspace(self.c_from, self.c_to, self.steps)]
+
+
+def _check_run(n, k, mode, beta_override) -> tuple[int, int]:
+    """n and k as ints, once the inputs every run shares pass: n and k
+    integers >= 1, a known mode, and a beta that strip_cap accepts."""
+    n = _integer(n, 1, "n")
+    k = _integer(k, 1, "k")
+    if mode not in MODES:
+        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
+    strip_cap(k, n, beta_override)
+    return n, k
 
 
 def _strip_loops(g: Graph) -> Graph:
@@ -151,18 +155,12 @@ def _strip_loops(g: Graph) -> Graph:
     return Graph(g.n, g.edge_array, _canonical=True, mult=g.mult)
 
 
-def _pipeline(n, c, k, seed, trial, mode, beta_override, cap_multiplier):
-    """Full chain; returns (ScanRecord, certificate-or-None).
+def _pipeline(n, c, k, seed, trial, mode, beta_override):
+    """Full chain on checked inputs; returns (ScanRecord, certificate-or-None).
 
     Each stage adds its columns to one row as it completes, so a run that
     fails keeps what the earlier stages found and the defaults after.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if c < 0:
-        raise DomainError(f"c must be >= 0, got {c}")
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     t0 = time.perf_counter()
     row = {}
     cert = None
@@ -191,7 +189,6 @@ def _pipeline(n, c, k, seed, trial, mode, beta_override, cap_multiplier):
             res = run_strip(
                 host,
                 k,
-                cap_multiplier=cap_multiplier,
                 beta_override=beta_override,
                 ambient_n=n,
             )
@@ -229,16 +226,20 @@ def run_pipeline(
     seed: int,
     mode: str = "simple",
     beta_override: float | None = None,
-    cap_multiplier: float | None = None,
 ) -> ScanRecord:
     """One generation-to-factor run; deterministic per seed.
 
-    Stage failures land in the record's error field instead of raising.
-    The factor search runs on the remainder (loops dropped, parallel edges
-    kept in multigraph mode) only when its degrees sit in [k, 2k] and k|K| is
-    even, so factor_found = True implies those checks passed.
+    The inputs pass ScanConfig.validate's checks before any stage runs (c
+    finite and >= 0); stage failures then land in the record's error field
+    instead of raising.  The factor search runs on the remainder (loops
+    dropped, parallel edges kept in multigraph mode) only when its degrees
+    sit in [k, 2k] and k|K| is even, so factor_found = True implies those
+    checks passed.
     """
-    record, _ = _pipeline(n, c, k, seed, 0, mode, beta_override, cap_multiplier)
+    n, k = _check_run(n, k, mode, beta_override)
+    if not 0 <= c < math.inf:
+        raise DomainError(f"c must be finite and >= 0, got {c}")
+    record, _ = _pipeline(n, c, k, _seed(seed, "seed"), 0, mode, beta_override)
     return record
 
 
@@ -274,8 +275,7 @@ def scan(config: ScanConfig, threads: int = 1):
     so the output is identical for any thread count.
     """
     config = config.validate()
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
+    threads = _integer(threads, 1, "threads")
     grid = config.c_grid()
     tasks = [
         (
@@ -286,7 +286,6 @@ def scan(config: ScanConfig, threads: int = 1):
             trial,
             config.mode,
             config.beta_override,
-            config.cap_multiplier,
         )
         for ci, c in enumerate(grid)
         for trial in range(config.trials)
@@ -298,10 +297,8 @@ def scan(config: ScanConfig, threads: int = 1):
             results = list(pool.map(_scan_worker, tasks))
     records = [record for record, _ in results]
 
-    if config.emit_certificate:
-        cert_dir = config.certificate_dir
-        if cert_dir is None:
-            cert_dir = config.out_csv + ".certs"
+    cert_dir = config.certificate_dir
+    if cert_dir:
         os.makedirs(cert_dir, exist_ok=True)
         for i, (record, cert_json) in enumerate(results):
             if cert_json is not None:
@@ -324,7 +321,6 @@ def scan(config: ScanConfig, threads: int = 1):
         "trials": config.trials,
         "base_seed": config.base_seed,
         "beta_override": config.beta_override,
-        "cap_multiplier": config.cap_multiplier,
         "constants": _constants_block(config.k),
         "points": points,
     }
@@ -369,43 +365,6 @@ def elbr_report(g: Graph, k: int, c: float | None = None) -> dict:
         "subcritical": ratio < 1.0,
         "g_x": g_x,
     }
-
-
-AUDIT_KINDS = ("lw0", "P", "elbr", "trace")
-
-
-def audit_graph(
-    g: Graph,
-    k: int,
-    which: str,
-    c: float | None = None,
-    beta_override: float | None = None,
-    cap_multiplier: float | None = None,
-    epsilon0: float = 0.01,
-    gamma: float = 0.1,
-    sample_budget: int = 2000,
-    seed: int = 0,
-) -> str:
-    """Dispatch one measurement report; returns JSON (CSV for trace)."""
-    if which == "lw0":
-        return audit_lw0(k_core(g, k), k).to_json()
-    if which == "P":
-        return audit_properties(
-            g,
-            k,
-            epsilon0=epsilon0,
-            gamma=gamma,
-            sample_budget=sample_budget,
-            seed=seed,
-        ).to_json()
-    if which == "elbr":
-        return json.dumps(elbr_report(g, k, c=c), separators=(",", ":"))
-    if which == "trace":
-        core = k_core(g, k).core
-        return run_strip(
-            core, k, cap_multiplier=cap_multiplier, beta_override=beta_override
-        ).trace.to_csv()
-    raise DomainError(f"unknown audit kind {which!r}; expected {AUDIT_KINDS}")
 
 
 def law_report(k: int, c: float | None = None, i_max: int | None = None) -> dict:

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleError, KflabError
 from .graphs import Graph, _integer
 from .matching import maximum_matching, perfect_matching_exists
-from .rng import make_rng, spawn_seed
+from .rng import _seed, make_rng, spawn_seed
 
 __all__ = [
     "TutteWitness",
@@ -808,8 +808,8 @@ def audit_properties(
     k = _integer(k, 1, "k")
     if not 0 < epsilon0 <= 1 or not 0 < gamma <= 1:
         raise DomainError("epsilon0 and gamma must be in (0, 1]")
-    if sample_budget < 1:
-        raise DomainError(f"sample_budget must be >= 1, got {sample_budget}")
+    sample_budget = _integer(sample_budget, 1, "sample_budget")
+    seed = _seed(seed, "seed")
     exhaustive = K.n <= EXACT_AUDIT_CAP
     if exhaustive:
         results = _audit_exact(K, k, epsilon0, gamma)

@@ -8,12 +8,24 @@ no matter which worker runs it or in what order.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
+
+from .errors import DomainError
 
 __all__ = ["spawn_seed", "make_rng"]
 
 _MASK = (1 << 64) - 1
+
+
+def _seed(value, what: str) -> int:
+    """value as an int; DomainError unless it is an integer.  Any sign and
+    width passes (derived seeds are unsigned 64-bit); floats do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 def spawn_seed(base: int, label: str, *indices: int) -> int:

@@ -136,21 +136,16 @@ def strip_cap(
     k: int,
     n: int,
     beta_override: float | None = None,
-    cap_multiplier: float | None = None,
 ) -> tuple[float, int]:
     """(beta_eff, cap) of a run whose ambient graph has n vertices.
 
     beta_eff is beta_override if given, else e^(-k/200), and must be
-    positive and finite.  cap = ceil(cap_multiplier * beta_eff * n), with
-    cap_multiplier 1 unless given; it must be finite and >= 0.
+    positive and finite.  cap = ceil(beta_eff * n).
     """
     beta = float(beta_override) if beta_override is not None else default_beta(k)
     if not 0 < beta < math.inf:
         raise DomainError(f"beta must be positive and finite, got {beta}")
-    scale = 1.0 if cap_multiplier is None else cap_multiplier
-    if not 0 <= scale < math.inf:
-        raise DomainError(f"cap_multiplier must be >= 0 and finite, got {scale}")
-    return beta, int(math.ceil(scale * beta * n))
+    return beta, int(math.ceil(beta * n))
 
 
 class StripState:
@@ -170,7 +165,6 @@ class StripState:
         self,
         core: Graph,
         k: int,
-        cap_multiplier: float | None = None,
         beta_override: float | None = None,
         ambient_n: int | None = None,
         debug: bool = False,
@@ -189,9 +183,7 @@ class StripState:
         self.k = k
         self.n = n
         self.ambient_n = int(ambient_n) if ambient_n is not None else n
-        self.beta_eff, self.cap = strip_cap(
-            k, self.ambient_n, beta_override, cap_multiplier
-        )
+        self.beta_eff, self.cap = strip_cap(k, self.ambient_n, beta_override)
         self.k7b = float(k) ** 7 * self.beta_eff
         self.debug = debug
 
@@ -399,7 +391,6 @@ def _finalize(state: StripState, halted_reason: str) -> StripResult:
 def run_strip(
     core,
     k: int,
-    cap_multiplier: float | None = None,
     beta_override: float | None = None,
     ambient_n: int | None = None,
     debug: bool = False,
@@ -413,7 +404,6 @@ def run_strip(
     state = StripState(
         core,
         k,
-        cap_multiplier=cap_multiplier,
         beta_override=beta_override,
         ambient_n=ambient_n,
         debug=debug,

@@ -1,12 +1,16 @@
 """Command-line behavior: subcommand outputs, exit codes, file writing,
-and the thread-count environment override."""
+thread-count invariance, scan certificates, and the README's flag list."""
 
+import argparse
 import json
+import pathlib
+import re
 
 import pytest
 
-from kflab.cli import main
+from kflab.cli import build_parser, main
 from kflab.graphs import parse_edge_text
+from kflab.harness import ScanConfig, scan
 from kflab.kfactor import verify_k_factor
 from kflab.randgraph import gen_gnp
 
@@ -63,16 +67,9 @@ def test_strip_prints_summary(capsys, graph_file, tmp_path):
 def test_strip_bad_cap_and_beta_are_input_errors(capsys, graph_file, tmp_path):
     core_path = tmp_path / "core.txt"
     run(capsys, "core", str(graph_file), "--k", "3", "--out", str(core_path))
-    for flag in ("--cap-multiplier=nan", "--cap-multiplier=inf",
-                 "--cap-multiplier=-1", "--beta-override=nan",
-                 "--beta-override=inf"):
+    for flag in ("--beta-override=nan", "--beta-override=inf"):
         code, out, err = run(capsys, "strip", str(core_path), "--k", "3", flag)
         assert code == 2 and out == "" and "error:" in err, flag
-    # a zero multiplier is a zero cap: nothing is deleted
-    code, out, _ = run(capsys, "strip", str(core_path), "--k", "3",
-                       "--cap-multiplier", "0")
-    assert code == 0
-    assert json.loads(out)["cap"] == 0 and json.loads(out)["iterations"] == 0
 
 
 def test_nan_density_is_input_error(capsys):
@@ -148,7 +145,6 @@ def test_scan_bad_density_and_cap_are_input_errors(capsys):
     args = ("scan", "--n", "50", "--k", "3", "--c-from", "4", "--steps", "2",
             "--trials", "1")
     for extra in (("--c-to", "inf"),
-                  ("--c-to", "5", "--cap-multiplier", "inf"),
                   ("--c-to", "5", "--beta-override", "nan")):
         code, out, err = run(capsys, *args, *extra)
         assert code == 2 and out == "" and "error:" in err, extra
@@ -166,18 +162,45 @@ def test_scan_files_and_summary(capsys, tmp_path):
     assert len(out_csv.read_text().splitlines()) == 5
 
 
-def test_scan_threads_env_override(capsys, monkeypatch, tmp_path):
+def test_scan_threads_flag(capsys):
     args = ("scan", "--n", "120", "--k", "3", "--c-from", "2",
             "--c-to", "5", "--steps", "2", "--trials", "2", "--seed", "9")
     code, seq, _ = run(capsys, *args)
-    monkeypatch.setenv("KFLAB_THREADS", "2")
-    code2, par, _ = run(capsys, *args)
+    code2, par, _ = run(capsys, *args, "--threads", "2")
     assert code == code2 == 0
     strip = lambda text: [l.rsplit(",", 1)[0] for l in text.splitlines()]
     assert strip(seq) == strip(par)
-    monkeypatch.setenv("KFLAB_THREADS", "abc")
-    code3, _, err = run(capsys, *args)
-    assert code3 == 2 and "KFLAB_THREADS" in err
+
+
+def test_scan_cert_dir_matches_library(capsys, tmp_path):
+    # the k = 2 grid of the library's certificate test, which finds factors
+    scan(ScanConfig(k=2, n=60, c_from=0.6, c_to=1.4, steps=3, trials=10,
+                    base_seed=21, beta_override=1.0,
+                    certificate_dir=str(tmp_path / "lib")))
+    code, _, _ = run(capsys, "scan", "--n", "60", "--k", "2", "--c-from", "0.6",
+                     "--c-to", "1.4", "--steps", "3", "--trials", "10",
+                     "--seed", "21", "--beta-override", "1.0",
+                     "--cert-dir", str(tmp_path / "cli"))
+    assert code == 0
+    files = lambda d: {p.name: p.read_bytes() for p in d.iterdir()}
+    lib = files(tmp_path / "lib")
+    assert lib
+    assert files(tmp_path / "cli") == lib
+
+
+def test_readme_cli_flags_match_parser():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for usage in re.findall(r"^- `(kflab [^`]+)`", section, flags=re.M):
+        documented[usage.split()[1]] = set(re.findall(r"--[a-z0-9-]+", usage))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actual = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert documented == actual
 
 
 def test_audit_and_law(capsys, graph_file, tmp_path):

@@ -1,5 +1,5 @@
 """Pipeline and scan tests: record schema, determinism, seed derivation,
-thread invariance, golden rows, and the measurement dispatch.
+thread invariance, golden rows, and the audit reports kflab audit prints.
 
 Scans must produce byte-identical rows (wall time aside) for any thread
 count and any execution order; the pinned n=200 scan below is the frozen
@@ -18,12 +18,11 @@ from kflab import harness
 from kflab.analytics import c_k_threshold, g_branching, x_of_c
 from kflab.cli import main
 from kflab.errors import DomainError
-from kflab.graphs import Graph, format_edge_text, parse_edge_text
+from kflab.graphs import Graph, format_edge_text
 from kflab.harness import (
     CSV_HEADER,
     ScanConfig,
     ScanRecord,
-    audit_graph,
     elbr_report,
     law_report,
     records_to_csv,
@@ -120,6 +119,18 @@ def test_pipeline_precondition_errors():
         run_pipeline(10, -1.0, 3, seed=0)
     with pytest.raises(DomainError):
         run_pipeline(10, 1.0, 3, seed=0, mode="bogus")
+    # the checks ScanConfig.validate makes, before any stage runs
+    for args, what in (((10, float("nan"), 3), "c"), ((10.5, 1.0, 3), "n"),
+                       ((10, 1.0, 2.5), "k"), ((10, float("inf"), 3), "c")):
+        with pytest.raises(DomainError, match=what):
+            run_pipeline(*args, seed=0)
+    with pytest.raises(DomainError, match="seed"):
+        run_pipeline(10, 1.0, 3, seed=1.5)
+    with pytest.raises(DomainError, match="beta"):
+        run_pipeline(10, 1.0, 3, seed=0, beta_override=float("nan"))
+    # seeds of any sign and up to 64 unsigned bits run
+    for seed in (-1, 2**64 - 1):
+        assert run_pipeline(10, 1.0, 3, seed=seed).error == ""
 
 
 def test_multigraph_mode_runs():
@@ -254,7 +265,7 @@ def test_scan_thread_invariance(tmp_path):
     for threads in (1, 2):
         cert_dir = tmp_path / f"certs{threads}"
         scan(ScanConfig(k=2, n=60, c_from=0.6, c_to=1.4, steps=3, trials=10,
-                        base_seed=21, beta_override=1.0, emit_certificate=True,
+                        base_seed=21, beta_override=1.0,
                         certificate_dir=str(cert_dir)), threads=threads)
         certs.append({p.name: p.read_bytes() for p in cert_dir.iterdir()})
     assert len(certs[0]) == 3
@@ -299,7 +310,7 @@ def test_scan_writes_outputs_and_certificates(tmp_path):
     cfg = ScanConfig(k=2, n=60, c_from=0.6, c_to=1.4, steps=3, trials=10,
                      base_seed=21, beta_override=1.0,
                      out_csv=str(out), out_summary=str(summ),
-                     emit_certificate=True, certificate_dir=str(certs))
+                     certificate_dir=str(certs))
     records, summary = scan(cfg)
     text = out.read_text()
     assert text.splitlines()[0] == CSV_HEADER
@@ -340,8 +351,6 @@ def test_scan_validation():
     with pytest.raises(DomainError):
         scan(ScanConfig(**{**base, "mode": "nope"}))
     with pytest.raises(DomainError):
-        scan(ScanConfig(**{**base, "emit_certificate": True}))
-    with pytest.raises(DomainError):
         scan(ScanConfig(**base), threads=0)
     for n in (50.5, float("nan"), 0):
         with pytest.raises(DomainError):
@@ -355,9 +364,12 @@ def test_scan_validation_integer_fields():
     base = dict(k=3, n=50, c_from=1.0, c_to=2.0, steps=2, trials=2,
                 base_seed=0)
     for field, value in (("steps", 2.5), ("trials", 1.5), ("n", "50"),
-                         ("steps", "2"), ("trials", None)):
+                         ("steps", "2"), ("trials", None),
+                         ("base_seed", 1.5)):
         with pytest.raises(DomainError, match=field):
             scan(ScanConfig(**{**base, field: value}))
+    with pytest.raises(DomainError, match="threads"):
+        scan(ScanConfig(**base), threads=1.5)
     # integral floats pass and run as their integers
     records, summary = scan(ScanConfig(**base))
     as_floats = {**base, "k": 3.0, "n": 50.0, "steps": 2.0, "trials": 2.0}
@@ -369,25 +381,36 @@ def test_scan_validation_integer_fields():
 # -------------------------------------------------------------- audits
 
 
-def test_audit_dispatch():
+def cli_audit(capsys, path, which, *flags):
+    """stdout of `kflab audit --k 5 --which WHICH` on the graph file."""
+    assert main(["audit", str(path), "--k", "5", "--which", which, *flags]) == 0
+    return capsys.readouterr().out
+
+
+def test_audit_dispatch(capsys, tmp_path):
     g = gen_gnp(2000, c_k_threshold(5)[0] + 0.5, seed=2)
-    lw0 = json.loads(audit_graph(g, 5, "lw0"))
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_text(g))
+    lw0 = json.loads(cli_audit(capsys, path, "lw0"))
     assert [p["label"] for p in lw0] == list("abcdefgh")
-    prop = json.loads(audit_graph(g, 5, "P", sample_budget=200, seed=1))
+    prop = json.loads(cli_audit(capsys, path, "P", "--sample-budget", "200",
+                                "--seed", "1"))
     assert [r["name"] for r in prop["results"]] == [
         "P1", "P2", "P3", "P4", "P5", "P6"]
-    elbr = json.loads(audit_graph(g, 5, "elbr", c=c_k_threshold(5)[0] + 0.5))
+    elbr = json.loads(cli_audit(capsys, path, "elbr", "--c",
+                                str(c_k_threshold(5)[0] + 0.5)))
     assert set(elbr) == {
         "k", "core_size", "w0_size", "w0_pair_degree_total", "ratio",
         "one_minus_alpha", "subcritical", "g_x"}
-    trace = audit_graph(g, 5, "trace", beta_override=0.01)
+    trace = cli_audit(capsys, path, "trace", "--beta-override", "0.01")
     assert trace.splitlines()[0] == (
         "iteration,deleted,q_size,w0,w1,r,A,B,D,X,enqueued")
-    with pytest.raises(DomainError):
-        audit_graph(g, 5, "nope")
+    with pytest.raises(SystemExit):
+        main(["audit", str(path), "--k", "5", "--which", "nope"])
 
-    text = format_edge_text(g)
-    assert audit_graph(parse_edge_text(text), 5, "elbr") == audit_graph(g, 5, "elbr")
+    # the report on the file is the library's on the graph written to it
+    assert cli_audit(capsys, path, "elbr") == (
+        json.dumps(elbr_report(g, 5), separators=(",", ":")) + "\n")
 
 
 # sha256 of each audit report on one seeded G(n, c/n) near c_5 (the P
@@ -410,24 +433,21 @@ def test_audit_golden_outputs(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(format_edge_text(gen_gnp(3000, c_k_threshold(5)[0] + 0.2, seed=7)))
 
-    def audit(which):
-        assert main(["audit", str(path), "--k", "5", "--which", which]) == 0
-        return capsys.readouterr().out
-
     for which, digest in GOLDEN_AUDITS.items():
-        out = audit(which).removesuffix("\n")
+        out = cli_audit(capsys, path, which).removesuffix("\n")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, which
-    trace = audit("trace")
+    trace = cli_audit(capsys, path, "trace")
     assert hashlib.sha256(trace.encode()).hexdigest() == GOLDEN_TRACE_AUDIT
 
 
-def test_audit_empty_graph_file():
-    g = parse_edge_text("0 0\n")
-    elbr = json.loads(audit_graph(g, 5, "elbr"))
+def test_audit_empty_graph_file(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    elbr = json.loads(cli_audit(capsys, path, "elbr"))
     assert elbr["core_size"] == 0 and elbr["ratio"] == 0.0
-    prop = json.loads(audit_graph(g, 5, "P"))
+    prop = json.loads(cli_audit(capsys, path, "P"))
     assert all(r["mode"] == "vacuous" for r in prop["results"])
-    trace = audit_graph(g, 5, "trace")
+    trace = cli_audit(capsys, path, "trace")
     assert trace.splitlines()[1].startswith("0,-1,0,")
 
 
@@ -455,3 +475,5 @@ def test_law_report_shape():
 
     bare = law_report(k)
     assert "at_c" not in bare
+    with pytest.raises(DomainError, match="i_max"):
+        law_report(k, c=7.5, i_max=9.5)

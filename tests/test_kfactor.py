@@ -842,6 +842,13 @@ def test_audit_guards():
         audit_properties(C4, 2, gamma=1.5)
     with pytest.raises(DomainError):
         audit_properties(Graph.from_pairs(2, [(0, 1), (0, 1)]), 1)
+    with pytest.raises(DomainError, match="sample_budget"):
+        audit_properties(C4, 2, sample_budget=200.5)
+    with pytest.raises(DomainError, match="seed"):
+        audit_properties(C4, 2, seed=1.5)
+    # seeds of any sign and up to 64 unsigned bits pass
+    for seed in (-1, 2**64 - 1):
+        audit_properties(C4, 2, seed=seed)
 
 
 def test_audit_rejects_sample_budget_below_one():

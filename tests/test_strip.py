@@ -160,17 +160,6 @@ def test_cap_uses_ambient_n():
     assert res.cap == 10
 
 
-def test_cap_multiplier_none_is_default():
-    core = random_core(11, 3, lo=40, hi=80)
-    a = run_strip(core, 3, cap_multiplier=None)
-    b = run_strip(core, 3)
-    assert a.cap == b.cap
-    assert a.trace.to_csv() == b.trace.to_csv()
-    assert a.K == b.K and a.kept.tolist() == b.kept.tolist()
-    assert a.summary_json() == b.summary_json()
-    assert StripState(core, 3, cap_multiplier=None).cap == b.cap
-
-
 # --------------------------------------------------------- randomized checks
 
 def test_stepwise_invariants_simple_mode():
@@ -535,7 +524,8 @@ def test_enforce_parity_failure_case():
                   if (i, j) != (3, 4)])
     rep = verify_K(g, 3)
     assert rep.k1 and rep.k2 and not rep.k4
-    res = run_strip(g, 3, beta_override=1.0, cap_multiplier=1e-9)
+    res = run_strip(g, 3, beta_override=1e-9)
+    assert res.cap == 1
     fake = dataclasses.replace(res, K=g, kept=np.arange(5))
     out = enforce_parity(fake, 3)
     assert out.k4_action == "failed"
@@ -555,7 +545,8 @@ def test_enforce_parity_matches_vertex_scan():
             core = to_multigraph(sample_configuration(degs, seed))
         if core.n == 0:
             continue
-        res = run_strip(core, k, beta_override=1.0, cap_multiplier=1e-9)
+        res = run_strip(core, k, beta_override=1e-9)
+        assert res.cap == 1
         deg = res.K.degrees
         adj = res.K.adjacency()
         expect = next(
