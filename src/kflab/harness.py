@@ -140,8 +140,8 @@ class ScanConfig:
 
 
 def _check_run(n, k, mode, beta_override) -> tuple[int, int]:
-    """n and k as ints, once the inputs every run shares pass: n and k
-    integers >= 1, a known mode, and a beta that strip_cap accepts."""
+    """Check the inputs every run shares and return n and k as ints: n and
+    k integers >= 1, a known mode, and a beta that strip_cap accepts."""
     n = _integer(n, 1, "n")
     k = _integer(k, 1, "k")
     if mode not in MODES:
