@@ -2,6 +2,7 @@
 thread-count invariance, scan certificates, and the README's flag list."""
 
 import argparse
+import hashlib
 import json
 import pathlib
 import re
@@ -101,6 +102,30 @@ def test_factor_infeasible_exit_code(capsys, graph_file, tmp_path):
     code, out, _ = run(capsys, "factor", str(core_path), "--k", "3")
     assert code == 3
     assert json.loads(out) == {"found": False, "k": 3}
+
+
+# sha256 of the full stdout of each command on the 3-core of the fixture
+# graph, with its exit code: the strip summaries, the bare certificate and
+# the "not found" line, byte for byte
+CLI_STDOUT_DIGESTS = [
+    (("strip", "--k", "3", "--beta-override", "0.1"), 0,
+     "22e73283c6f69554554b3e617043b01ad93b5069fcebdea66a9054dc0f64190c"),
+    (("strip", "--k", "3"), 0,
+     "5ce28073b9b09231e5b787badf971b7dcb37cc8d50c3567d375814659118bad5"),
+    (("factor", "--k", "2", "--emit-certificate"), 0,
+     "e510c7aeb96675311741045b583b131a104f130262621a3ca59f29d1a220363b"),
+    (("factor", "--k", "3"), 3,
+     "69b5a8989743b7aa496f6048cc66a2b5b34dd778c45e84de8d20381953de3d0a"),
+]
+
+
+def test_cli_stdout_digests(capsys, graph_file, tmp_path):
+    core_path = tmp_path / "core.txt"
+    run(capsys, "core", str(graph_file), "--k", "3", "--out", str(core_path))
+    for (cmd, *flags), exit_code, digest in CLI_STDOUT_DIGESTS:
+        code, out, _ = run(capsys, cmd, str(core_path), *flags)
+        assert code == exit_code, (cmd, *flags)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (cmd, *flags)
 
 
 def test_missing_file_is_input_error(capsys):
