@@ -224,6 +224,7 @@ class CoreLaw:
 
 def core_law(c: float, k: int, i_max: int) -> CoreLaw:
     """Evaluate the limiting core law; requires c >= c_k."""
+    k = _integer(k, 3, "k")
     c_k, x_k = c_k_threshold(k)
     i_max = _integer(i_max, k, "i_max")
     x = x_of_c(c, k)

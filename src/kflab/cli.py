@@ -72,9 +72,7 @@ def _cmd_strip(args) -> int:
     rep = verify_K(res.K, args.k, ambient_n=g.n)
     if args.out:
         _emit(format_edge_text(res.K), args.out)
-    summary = json.loads(res.summary_json())
-    summary.update(k1=rep.k1, k2=rep.k2, k3=rep.k3, k4=rep.k4)
-    print(json.dumps(summary))
+    print(json.dumps({**res.summary(), **vars(rep)}))
     return 0
 
 

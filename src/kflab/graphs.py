@@ -16,6 +16,8 @@ u < v, sorted lexicographically.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DomainError
@@ -49,6 +51,14 @@ def _integer(value, least: int, what: str) -> int:
     if arr is None or arr.ndim != 0 or arr < least:
         raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(arr)
+
+
+def _real(value, what: str) -> float:
+    """value as a float; DomainError unless it is a real number.  nan and
+    inf pass, for the caller's range check; strings do not."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _int_pairs(values, what: str) -> np.ndarray:

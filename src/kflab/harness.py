@@ -30,12 +30,12 @@ from .analytics import (
     x_of_c,
 )
 from .errors import DomainError
-from .graphs import Graph, _integer
+from .graphs import Graph, _integer, _real
 from .kcore import k_core
 from .kfactor import find_k_factor
 from .randgraph import gen_gnp, sample_configuration, to_multigraph
 from .rng import _seed, spawn_seed
-from .strip import enforce_parity, run_strip, strip_cap, verify_K
+from .strip import _csv_cell, enforce_parity, run_strip, strip_cap, verify_K
 
 __all__ = [
     "ScanConfig",
@@ -78,14 +78,6 @@ class ScanRecord:
         return ",".join(_csv_cell(getattr(self, f.name)) for f in fields(self))
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
-
-
 CSV_HEADER = ",".join(f.name for f in fields(ScanRecord))
 
 
@@ -120,16 +112,20 @@ class ScanConfig:
 
     def validate(self) -> "ScanConfig":
         """Check every field; return the config with k, n, steps, trials
-        and base_seed as ints (integral floats pass, except as the seed)."""
+        and base_seed as ints (integral floats pass, except as the seed)
+        and c_from and c_to as floats."""
         n, k = _check_run(self.n, self.k, self.mode, self.beta_override)
-        if not 0 <= self.c_from < self.c_to < math.inf:
+        c_from, c_to = _real(self.c_from, "c_from"), _real(self.c_to, "c_to")
+        if not 0 <= c_from < c_to < math.inf:
             raise DomainError(
-                f"need 0 <= c_from < c_to, both finite; got {self.c_from}, {self.c_to}"
+                f"need 0 <= c_from < c_to, both finite; got {c_from}, {c_to}"
             )
         return replace(
             self,
             k=k,
             n=n,
+            c_from=c_from,
+            c_to=c_to,
             steps=_integer(self.steps, 1, "steps"),
             trials=_integer(self.trials, 1, "trials"),
             base_seed=_seed(self.base_seed, "base_seed"),
@@ -237,6 +233,7 @@ def run_pipeline(
     checks passed.
     """
     n, k = _check_run(n, k, mode, beta_override)
+    c = _real(c, "c")
     if not 0 <= c < math.inf:
         raise DomainError(f"c must be finite and >= 0, got {c}")
     record, _ = _pipeline(n, c, k, _seed(seed, "seed"), 0, mode, beta_override)
@@ -368,7 +365,9 @@ def elbr_report(g: Graph, k: int, c: float | None = None) -> dict:
 
 
 def law_report(k: int, c: float | None = None, i_max: int | None = None) -> dict:
-    """Analytic constants for k, plus the core law at c when given."""
+    """Analytic constants for k, plus the core law at c when given; k is
+    reported as an int (integral floats pass)."""
+    k = _integer(k, 3, "k")
     c_k, x_k = c_k_threshold(k)
     constants = _constants_block(k)
     out = {

@@ -84,6 +84,8 @@ class Lw0Part:
 
 @dataclass(frozen=True)
 class Lw0Report:
+    """The eight parts; to_json writes them as a list of their fields."""
+
     parts: tuple[Lw0Part, ...]
 
     def part(self, label: str) -> Lw0Part:
@@ -93,20 +95,7 @@ class Lw0Report:
         raise KeyError(label)
 
     def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "label": p.label,
-                    "description": p.description,
-                    "measured": p.measured,
-                    "lower": p.lower,
-                    "upper": p.upper,
-                    "ok": p.ok,
-                }
-                for p in self.parts
-            ],
-            separators=(",", ":"),
-        )
+        return json.dumps(self.parts, default=vars, separators=(",", ":"))
 
 
 def audit_lw0(result: CoreResult, k: int) -> Lw0Report:

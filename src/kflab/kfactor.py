@@ -1,20 +1,22 @@
 """k-regular spanning subgraph search, verification, and diagnostics.
 
-Tutte's f-factor theorem, specialized to constant k on graphs of minimum
-degree >= k, says a k-factor exists iff for every disjoint S, T:
+Tutte's f-factor theorem, specialized to constant k, says a k-factor
+exists iff for every disjoint S, T:
 
-    k|S| + sum_{v in T, d(v) > k} (d(v) - k) >= q(S,T) + e(S,T)
+    k|S| + sum_{v in T} (d(v) - k) >= q(S,T) + e(S,T)
 
 where q(S,T) counts components Q of the rest with k|Q| and e(Q,T) of
-different parity.  This module provides both routes to a verdict:
+different parity.  tutte_check evaluates it for one pair; a vertex v of
+degree < k alone violates it, as (S, T) = ({}, {v}).  This module provides
+both routes to a verdict:
 
 * brute_force_tutte enumerates all disjoint (S, T) pairs (3^n of them,
   capped at n = 16): per rest U = V - (S u T), in ascending mask order, it
   finds U's components, then scores every T at once as array arithmetic
-  over the subset tables the exact audit also reads.  It returns the first
-  violating witness, if one exists, optionally restricted to pairs with S
-  all-high and every counted component containing a high vertex, which
-  preserves the verdict;
+  over the subset tables the exact audit also reads.  It returns
+  tutte_check's witness for the first violating pair, if one exists,
+  optionally restricted to pairs with S all-high and every counted
+  component containing a high vertex, which preserves the verdict;
 * find_k_factor constructs a factor outright through the classical
   reduction to perfect matching (per vertex: one external node per edge
   end, d(v) - k slack nodes, complete bipartite between them), seeded by
@@ -47,7 +49,6 @@ __all__ = [
     "TutteWitness",
     "FactorCertificate",
     "GadgetReduction",
-    "tutte_q",
     "tutte_check",
     "brute_force_tutte",
     "gadget_reduce",
@@ -65,7 +66,12 @@ BRUTE_FORCE_CAP = 16
 
 @dataclass(frozen=True)
 class TutteWitness:
-    """One evaluated (S, T) pair of the factor inequality."""
+    """One evaluated (S, T) pair of the factor inequality.
+
+    S and T are ascending Python ints, as tutte_check builds them.  to_json
+    writes the fields as they are, in order: json.dumps reaches a record's
+    fields through vars, which skips asdict's deep copy.
+    """
 
     S: tuple[int, ...]
     T: tuple[int, ...]
@@ -76,37 +82,23 @@ class TutteWitness:
     violated: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "S": sorted(int(v) for v in self.S),
-                "T": sorted(int(v) for v in self.T),
-                "q": self.q,
-                "e_st": self.e_st,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "violated": self.violated,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(self, default=vars, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
 class FactorCertificate:
-    """A spanning k-regular edge subset with its per-vertex degrees."""
+    """A spanning k-regular edge subset with its per-vertex degrees.
+
+    edges are ascending pairs of Python ints, as find_k_factor builds them;
+    to_json writes the fields as they are.
+    """
 
     k: int
     edges: tuple[tuple[int, int], ...]
     degrees: tuple[int, ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "edges": [[int(u), int(v)] for u, v in sorted(self.edges)],
-                "degrees": [int(d) for d in self.degrees],
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(self, default=vars, separators=(",", ":"))
 
 
 def _check_sets(g: Graph, S, T) -> tuple[set[int], set[int]]:
@@ -148,24 +140,23 @@ def _require_simple(g) -> Graph:
     return g
 
 
-def tutte_q(g: Graph, k: int, S, T) -> int:
-    """Count components Q of g minus (S u T) with k|Q| and e(Q,T) of
-    different parity."""
+def tutte_check(g: Graph, k: int, S, T) -> TutteWitness:
+    """Evaluate the factor inequality for one (S, T) pair.
+
+    lhs is Tutte's full sum k|S| + sum_{v in T} (d(v) - k), with no
+    degree precondition, so a T vertex of degree < k lowers it; rhs is
+    q + e(S, T), q counting the components Q of g minus (S u T) with k|Q|
+    and e(Q, T) of different parity.
+    """
     _require_simple(g)
     k = _integer(k, 1, "k")
     s, t = _check_sets(g, S, T)
-    return _odd_components(g, k, s | t, g.neighbors_in(_mask(g, t)))
-
-
-def _odd_components(g: Graph, k: int, removed: set[int], t_nbrs) -> int:
-    """tutte_q on checked sets, given each vertex's neighbour count in T."""
+    t_nbrs = g.neighbors_in(_mask(g, t))
     xadj, nbr, _ = g.csr()
     xadj, nbr = xadj.tolist(), nbr.tolist()
-    # removed vertices read as seen, so no walk enters them
-    seen = [False] * g.n
-    for v in removed:
-        seen[v] = True
-    count = 0
+    # S and T read as seen, so no walk enters them
+    seen = _mask(g, s | t).tolist()
+    q = 0
     for start in range(g.n):
         if seen[start]:
             continue
@@ -181,22 +172,10 @@ def _odd_components(g: Graph, k: int, removed: set[int], t_nbrs) -> int:
                     stack.append(u)
         e_qt = int(t_nbrs[comp].sum())
         if (k * len(comp)) % 2 != e_qt % 2:
-            count += 1
-    return count
-
-
-def tutte_check(g: Graph, k: int, S, T) -> TutteWitness:
-    """Evaluate the factor inequality for one (S, T) pair."""
-    _require_simple(g)
-    k = _integer(k, 1, "k")
-    deg = g.degrees
-    if g.n and int(deg.min()) < k:
-        raise DomainError("tutte_check requires minimum degree >= k")
-    s, t = _check_sets(g, S, T)
-    t_nbrs = g.neighbors_in(_mask(g, t))
-    q = _odd_components(g, k, s | t, t_nbrs)
+            q += 1
     e_st = int(t_nbrs[_mask(g, s)].sum())
-    lhs = k * len(s) + sum(int(deg[v]) - k for v in t if int(deg[v]) > k)
+    deg = g.degrees
+    lhs = k * len(s) + sum(int(deg[v]) - k for v in t)
     rhs = q + e_st
     return TutteWitness(
         S=tuple(sorted(s)),
@@ -210,13 +189,14 @@ def tutte_check(g: Graph, k: int, S, T) -> TutteWitness:
 
 
 def brute_force_tutte(g: Graph, k: int, restrict_m1m2: bool = False):
-    """Exhaust all disjoint (S, T) pairs; return the first violating
-    witness in deterministic order, or None when the inequality always
-    holds (equivalently: a k-factor exists).
+    """Exhaust all disjoint (S, T) pairs; return tutte_check's witness for
+    the first violating pair in deterministic order, or None when the
+    inequality always holds (equivalently: a k-factor exists).
 
     restrict_m1m2 skips pairs where S contains a degree-k vertex (M1) or
     where some component counted by q has no vertex of degree >= k+1 (M2);
-    the existence verdict is unchanged.
+    the existence verdict is unchanged.  That soundness argument assumes
+    minimum degree >= k, so g must have it.
     """
     _require_simple(g)
     k = _integer(k, 1, "k")
@@ -229,7 +209,7 @@ def brute_force_tutte(g: Graph, k: int, restrict_m1m2: bool = False):
 
     bits, size, into, e_in, nbr = _subset_tables(g)
     pw = 1 << np.arange(n)
-    surplus = bits @ np.maximum(deg - k, 0)
+    surplus = bits @ (deg - k)
     # lhs - e(S, T) = k|S| + e(S) + surplus[T] + e(T) - e(W), as S u T = W
     s_part, t_part = k * size + e_in, surplus + e_in
     parity = size & 1
@@ -262,17 +242,8 @@ def brute_force_tutte(g: Graph, k: int, restrict_m1m2: bool = False):
         bad = (slack < q) & ~m2_fail
         i = int(bad.argmax())
         if bad[i]:
-            S, T = int(s[i]), int(t[i])
-            e_st = int(e_in[w_mask] - e_in[S] - e_in[T])
-            return TutteWitness(
-                S=tuple(np.flatnonzero(bits[S]).tolist()),
-                T=tuple(np.flatnonzero(bits[T]).tolist()),
-                q=int(q[i]),
-                e_st=e_st,
-                lhs=int(k * size[S] + surplus[T]),
-                rhs=int(q[i]) + e_st,
-                violated=True,
-            )
+            return tutte_check(g, k, np.flatnonzero(bits[s[i]]),
+                               np.flatnonzero(bits[t[i]]))
     return None
 
 
@@ -520,6 +491,9 @@ def verify_k_factor(g, F, k: int) -> bool:
 
 @dataclass(frozen=True)
 class PropertyResult:
+    """One property's audit; each witness part is ascending Python ints,
+    as both audits build them."""
+
     name: str
     mode: str  # exact | sampled | vacuous
     checked: int
@@ -527,25 +501,16 @@ class PropertyResult:
     worst_margin: float | None
     witness: tuple[tuple[int, ...], ...] | None
 
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "checked": self.checked,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "witness": None
-            if self.witness is None
-            else [sorted(int(v) for v in part) for part in self.witness],
-        }
-
 
 @dataclass(frozen=True)
 class PropertyReport:
-    results: tuple[PropertyResult, ...]
+    """P1-P6 results; to_json writes the fields as they are, in order."""
+
     epsilon0: float
     gamma: float
     exhaustive: bool
+    all_clear: bool  # no property has a violation
+    results: tuple[PropertyResult, ...]
 
     def result(self, name: str) -> PropertyResult:
         for r in self.results:
@@ -553,21 +518,8 @@ class PropertyReport:
                 return r
         raise KeyError(name)
 
-    @property
-    def all_clear(self) -> bool:
-        return all(r.violations == 0 for r in self.results)
-
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epsilon0": self.epsilon0,
-                "gamma": self.gamma,
-                "exhaustive": self.exhaustive,
-                "all_clear": self.all_clear,
-                "results": [r.to_json_dict() for r in self.results],
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(self, default=vars, separators=(",", ":"))
 
 
 EXACT_AUDIT_CAP = 12
@@ -816,8 +768,9 @@ def audit_properties(
     else:
         results = _audit_sampled(K, k, epsilon0, gamma, sample_budget, seed)
     return PropertyReport(
-        results=tuple(results),
         epsilon0=epsilon0,
         gamma=gamma,
         exhaustive=exhaustive,
+        all_clear=all(r.violations == 0 for r in results),
+        results=tuple(results),
     )

@@ -181,7 +181,9 @@ def maximum_matching(n: int, edges, seed_mate=None) -> np.ndarray:
             f"seed_mate[{bad[0]}] = {seed[bad[0]]} is neither -1 nor a vertex")
     if np.any(w == v) or np.any(seed[w] != v):
         raise DomainError("seed_mate is not a symmetric matching")
-    if np.any(g.rows_of(np.column_stack([np.minimum(v, w), np.maximum(v, w)])) < 0):
+    # symmetric, so each seeded pair is looked up once, from its lower end
+    lower = v < w
+    if np.any(g.rows_of(np.column_stack([v[lower], w[lower]])) < 0):
         raise DomainError("seed_mate uses a non-edge")
 
     xadj, nbr, _ = g.csr()

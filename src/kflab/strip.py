@@ -37,7 +37,6 @@ trivially after init, where W1 is empty.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -46,7 +45,7 @@ import numpy as np
 
 from .analytics import default_beta
 from .errors import DomainError
-from .graphs import Graph, _integer
+from .graphs import Graph, _integer, _real
 from .randgraph import R, W0, W1
 
 __all__ = [
@@ -64,33 +63,37 @@ __all__ = [
 ]
 
 class TraceRow(NamedTuple):
+    """One iteration; the fields, in order, are the trace CSV columns."""
+
     iteration: int
     deleted: int  # vertex id, -1 for the initial row / no-op
     q_size: int
     w0: int
     w1: int
     r: int
-    a: int
-    b: int
-    d: int
-    x: float
+    A: int
+    B: int
+    D: int
+    X: float
     enqueued: int
+
+
+def _csv_cell(value) -> str:
+    """One CSV cell: a bool as 0 or 1, a float to 10 significant digits."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return str(value)
 
 
 @dataclass(frozen=True)
 class StripTrace:
     rows: tuple[TraceRow, ...]
 
-    CSV_HEADER = "iteration,deleted,q_size,w0,w1,r,A,B,D,X,enqueued"
-
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{row.iteration},{row.deleted},{row.q_size},{row.w0},"
-                f"{row.w1},{row.r},{row.a},{row.b},{row.d},{row.x:.10g},"
-                f"{row.enqueued}"
-            )
+        lines = [",".join(TraceRow._fields)]
+        lines.extend(",".join(map(_csv_cell, row)) for row in self.rows)
         return "\n".join(lines) + "\n"
 
 
@@ -115,21 +118,19 @@ class StripResult:
     k4_action: str = "none"  # none | deleted | failed
     k4_vertex: int | None = None
 
-    def summary_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "halted_reason": self.halted_reason,
-                "iterations": self.iterations,
-                "cap": self.cap,
-                "beta_eff": self.beta_eff,
-                "k_size": int(self.K.n),
-                "k_edges": int(self.K.m),
-                "k4_action": self.k4_action,
-                "k4_vertex": self.k4_vertex,
-            },
-            separators=(",", ":"),
-        )
+    def summary(self) -> dict:
+        """The run's outcome as JSON-ready values, in kflab strip's order."""
+        return {
+            "k": self.k,
+            "halted_reason": self.halted_reason,
+            "iterations": self.iterations,
+            "cap": self.cap,
+            "beta_eff": self.beta_eff,
+            "k_size": int(self.K.n),
+            "k_edges": int(self.K.m),
+            "k4_action": self.k4_action,
+            "k4_vertex": self.k4_vertex,
+        }
 
 
 def strip_cap(
@@ -139,10 +140,13 @@ def strip_cap(
 ) -> tuple[float, int]:
     """(beta_eff, cap) of a run whose ambient graph has n vertices.
 
-    beta_eff is beta_override if given, else e^(-k/200), and must be
-    positive and finite.  cap = ceil(beta_eff * n).
+    beta_eff is beta_override if given, else e^(-k/200), and must be a
+    positive and finite number.  cap = ceil(beta_eff * n).
     """
-    beta = float(beta_override) if beta_override is not None else default_beta(k)
+    if beta_override is None:
+        beta = default_beta(k)
+    else:
+        beta = _real(beta_override, "beta_override")
     if not 0 < beta < math.inf:
         raise DomainError(f"beta must be positive and finite, got {beta}")
     return beta, int(math.ceil(beta * n))

@@ -197,7 +197,7 @@ def test_ac06_strip_structural_guarantees():
             rows += 1
             if row.deleted >= 0 and row.enqueued > 4 * k * k:
                 violations += 1
-            if row.x != row.a + k * row.b + k**7 * res.beta_eff * row.d:
+            if row.X != row.A + k * row.B + k**7 * res.beta_eff * row.D:
                 violations += 1
         if res.halted_reason == "Q_empty":
             q_empty_halts += 1

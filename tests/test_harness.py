@@ -15,7 +15,7 @@ import weakref
 import pytest
 
 from kflab import harness
-from kflab.analytics import c_k_threshold, g_branching, x_of_c
+from kflab.analytics import c_k_threshold, core_law, g_branching, x_of_c
 from kflab.cli import main
 from kflab.errors import DomainError
 from kflab.graphs import Graph, format_edge_text
@@ -33,7 +33,7 @@ from kflab.kcore import k_core
 from kflab.kfactor import verify_k_factor
 from kflab.randgraph import gen_gnp
 from kflab.rng import spawn_seed
-from kflab.strip import enforce_parity, run_strip
+from kflab.strip import enforce_parity, run_strip, strip_cap
 
 
 def rows_without_wall(records) -> list[str]:
@@ -126,8 +126,11 @@ def test_pipeline_precondition_errors():
             run_pipeline(*args, seed=0)
     with pytest.raises(DomainError, match="seed"):
         run_pipeline(10, 1.0, 3, seed=1.5)
-    with pytest.raises(DomainError, match="beta"):
-        run_pipeline(10, 1.0, 3, seed=0, beta_override=float("nan"))
+    for beta in (float("nan"), "0.1"):
+        with pytest.raises(DomainError, match="beta"):
+            run_pipeline(10, 1.0, 3, seed=0, beta_override=beta)
+    with pytest.raises(DomainError, match="c"):
+        run_pipeline(10, "1.0", 3, seed=0)
     # seeds of any sign and up to 64 unsigned bits run
     for seed in (-1, 2**64 - 1):
         assert run_pipeline(10, 1.0, 3, seed=seed).error == ""
@@ -358,6 +361,13 @@ def test_scan_validation():
     for k in (2.5, float("nan"), 0):
         with pytest.raises(DomainError):
             scan(ScanConfig(**{**base, "k": k}))
+    # densities and beta must be numbers, not strings that look like them
+    for field, value in (("c_from", "1"), ("c_to", "2.0"),
+                         ("beta_override", "0.1")):
+        with pytest.raises(DomainError, match=field):
+            scan(ScanConfig(**{**base, field: value}))
+    with pytest.raises(DomainError, match="beta"):
+        strip_cap(3, 50, beta_override="0.1")
 
 
 def test_scan_validation_integer_fields():
@@ -475,5 +485,8 @@ def test_law_report_shape():
 
     bare = law_report(k)
     assert "at_c" not in bare
+    # an integral-float k runs as its integer, and is reported as one
+    assert core_law(7.5, 5.0, 9) == core_law(7.5, 5, 9)
+    assert json.dumps(law_report(5.0, c=7.5)) == json.dumps(law_report(5, c=7.5))
     with pytest.raises(DomainError, match="i_max"):
         law_report(k, c=7.5, i_max=9.5)

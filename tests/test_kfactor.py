@@ -35,7 +35,6 @@ from kflab.kfactor import (
     find_k_factor,
     gadget_reduce,
     tutte_check,
-    tutte_q,
     verify_k_factor,
 )
 from kflab.matching import maximum_matching
@@ -59,26 +58,26 @@ def random_graph(rng, n, p):
     return Graph(n, edges)
 
 
-# ------------------------------------------------------------ tutte_q
+# ---------------------------------------------------------- tutte_check q
 
 
 def test_q_hand_values():
-    assert tutte_q(BOWTIE, 2, {0}, {1}) == 1
+    assert tutte_check(BOWTIE, 2, {0}, {1}).q == 1
     # P3 minus nothing: the lone component {1} has k|Q| = 1 vs e = 2
-    assert tutte_q(P3, 1, set(), {0, 2}) == 1
-    assert tutte_q(P3, 2, set(), {0, 2}) == 0
+    assert tutte_check(P3, 1, set(), {0, 2}).q == 1
+    assert tutte_check(P3, 2, set(), {0, 2}).q == 0
     # whole graph as one component: 5k odd iff k odd
-    assert tutte_q(C5, 1, set(), set()) == 1
-    assert tutte_q(C5, 2, set(), set()) == 0
+    assert tutte_check(C5, 1, set(), set()).q == 1
+    assert tutte_check(C5, 2, set(), set()).q == 0
 
 
 def test_q_domain_errors():
     with pytest.raises(DomainError):
-        tutte_q(C4, 2, {0}, {0})
+        tutte_check(C4, 2, {0}, {0}).q
     with pytest.raises(DomainError):
-        tutte_q(C4, 2, {9}, set())
+        tutte_check(C4, 2, {9}, set()).q
     with pytest.raises(DomainError):
-        tutte_q(C4, 0, set(), set())
+        tutte_check(C4, 0, set(), set()).q
 
 
 # --------------------------------------------------------- tutte_check
@@ -101,9 +100,24 @@ def test_check_counts_t_surplus_in_lhs():
     assert (w.q, w.e_st) == (0, 4)
 
 
-def test_check_requires_min_degree():
-    with pytest.raises(DomainError):
-        tutte_check(P3, 2, set(), set())
+def test_check_low_degree_vertex_is_a_witness():
+    # P3's end 0 has degree 1 < k = 2: lhs = d(0) - k = -1; the rest {1, 2}
+    # has k|Q| = 4 and e(Q, T) = 1, so q = rhs = 1
+    w = tutte_check(P3, 2, (), (0,))
+    assert (w.lhs, w.q, w.rhs, w.violated) == (-1, 1, 1, True)
+    # every vertex of degree < k gives the violated pair ({}, {v})
+    rng = make_rng(11)
+    low_seen = 0
+    for trial in range(40):
+        n = int(rng.integers(3, 14))
+        g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
+        for k in (1, 2, 3, 4):
+            for v in np.flatnonzero(g.degrees < k).tolist():
+                w = tutte_check(g, k, (), (v,))
+                assert w.lhs == int(g.degrees[v]) - k, (trial, k, v)
+                assert w.violated, (trial, k, v)
+                low_seen += 1
+    assert low_seen > 100
 
 
 def test_check_rejects_multigraph():
@@ -574,7 +588,7 @@ def test_factor_k_guard():
 
 
 def test_k_must_be_an_integer():
-    calls = (lambda k: tutte_q(K5, k, set(), set()),
+    calls = (lambda k: tutte_check(K5, k, set(), set()).q,
              lambda k: tutte_check(K5, k, set(), set()),
              lambda k: brute_force_tutte(BOWTIE, k),
              lambda k: gadget_reduce(K5, k).k,

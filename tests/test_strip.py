@@ -72,8 +72,8 @@ def test_house_init_classification_and_potential():
     assert queue_ids(st_) == [0, 2]  # both via D2, one degree-2 neighbor
     assert (st_.A, st_.B, st_.D) == (0, 4, 2)
     row0 = st_.trace_rows[0]
-    assert (row0.a, row0.b, row0.d) == (0, 4, 2)
-    assert row0.x == 0 + 2 * 4 + 2**7 * 1.0 * 2
+    assert (row0.A, row0.B, row0.D) == (0, 4, 2)
+    assert row0.X == 0 + 2 * 4 + 2**7 * 1.0 * 2
     assert row0.enqueued == 2
 
 
@@ -93,7 +93,7 @@ def test_house_full_cascade_deletes_everything():
     assert res.halted_reason == "Q_empty"
     assert res.K.n == 0 and res.K.m == 0
     assert [r.deleted for r in res.trace.rows] == [-1, 0, 1, 2, 3, 4]
-    assert [r.x for r in res.trace.rows] == [264.0, 133.0, 3.0, 2.0, 0.0, 0.0]
+    assert [r.X for r in res.trace.rows] == [264.0, 133.0, 3.0, 2.0, 0.0, 0.0]
     assert res.trace.to_csv() == (
         "iteration,deleted,q_size,w0,w1,r,A,B,D,X,enqueued\n"
         "0,-1,2,3,0,2,0,4,2,264,2\n"
@@ -127,7 +127,7 @@ def test_zero_degree_deletion_leaves_x_unchanged():
     assert [r.deleted for r in res.trace.rows] == [-1, 0, 1, 2, 3]
     # once the center is gone the leaves are isolated; deleting them cannot
     # move the potential
-    tail = [r.x for r in res.trace.rows[1:]]
+    tail = [r.X for r in res.trace.rows[1:]]
     assert tail == [0.0, 0.0, 0.0, 0.0]
     assert all(r.enqueued == 0 for r in res.trace.rows[2:])
 
@@ -195,7 +195,7 @@ def test_q_empty_implies_k1_k2_with_debug():
         for row in res.trace.rows:
             if row.deleted >= 0:  # row 0 logs the initial seeding instead
                 assert row.enqueued <= 4 * k * k
-            assert row.x == row.a + k * row.b + k**7 * res.beta_eff * row.d
+            assert row.X == row.A + k * row.B + k**7 * res.beta_eff * row.D
     assert runs >= 100
     assert violations == 0
 
@@ -245,7 +245,7 @@ def test_run_is_deterministic():
     assert a.K == b.K
     assert a.kept.tolist() == b.kept.tolist()
     assert a.trace.to_csv() == b.trace.to_csv()
-    assert a.summary_json() == b.summary_json()
+    assert a.summary() == b.summary()
 
 
 def test_moderate_scale_run_with_default_beta():
