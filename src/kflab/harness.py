@@ -113,19 +113,21 @@ class ScanConfig:
     def validate(self) -> "ScanConfig":
         """Check every field; return the config with k, n, steps, trials
         and base_seed as ints (integral floats pass, except as the seed)
-        and c_from and c_to as floats."""
+        and c_from, c_to and any beta_override as floats."""
         n, k = _check_run(self.n, self.k, self.mode, self.beta_override)
         c_from, c_to = _real(self.c_from, "c_from"), _real(self.c_to, "c_to")
         if not 0 <= c_from < c_to < math.inf:
             raise DomainError(
                 f"need 0 <= c_from < c_to, both finite; got {c_from}, {c_to}"
             )
+        beta = self.beta_override
         return replace(
             self,
             k=k,
             n=n,
             c_from=c_from,
             c_to=c_to,
+            beta_override=beta if beta is None else float(beta),
             steps=_integer(self.steps, 1, "steps"),
             trials=_integer(self.trials, 1, "trials"),
             base_seed=_seed(self.base_seed, "base_seed"),

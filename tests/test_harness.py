@@ -12,6 +12,7 @@ import json
 import os
 import weakref
 
+import numpy as np
 import pytest
 
 from kflab import harness
@@ -368,6 +369,10 @@ def test_scan_validation():
             scan(ScanConfig(**{**base, field: value}))
     with pytest.raises(DomainError, match="beta"):
         strip_cap(3, 50, beta_override="0.1")
+    # a numpy beta runs as a float, so the summary stays JSON-safe
+    _, summary = scan(ScanConfig(**{**base, "beta_override": np.float32(0.5)}))
+    assert json.dumps(summary) == json.dumps(
+        scan(ScanConfig(**{**base, "beta_override": 0.5}))[1])
 
 
 def test_scan_validation_integer_fields():
