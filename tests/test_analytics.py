@@ -170,7 +170,7 @@ def test_x_of_c_at_threshold_and_domain():
 def test_x_of_c_far_above_threshold_and_non_finite():
     x = A.x_of_c(1e6, 5)
     assert A.f_of_x(x, 5) == pytest.approx(1e6, rel=1e-12)
-    for c in (math.inf, math.nan):
+    for c in (math.inf, math.nan, "7", None):
         with pytest.raises(DomainError):
             A.x_of_c(c, 5)
 
@@ -249,6 +249,8 @@ def test_core_law_lambda_k_scaling_at_50():
 def test_core_law_domain():
     with pytest.raises(DomainError):
         A.core_law(1.0, 5, 50)
+    with pytest.raises(DomainError):  # once a bare TypeError
+        A.core_law("7", 5, 9)
     with pytest.raises(DomainError):
         A.core_law(10.0, 5, 4)
 

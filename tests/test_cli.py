@@ -10,6 +10,7 @@ import re
 import pytest
 
 from kflab.cli import build_parser, main
+from kflab.errors import DomainError
 from kflab.graphs import parse_edge_text
 from kflab.harness import ScanConfig, scan
 from kflab.kfactor import verify_k_factor
@@ -148,6 +149,32 @@ def test_non_integer_edge_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "factor", str(path), "--k", "2")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text", [
+    "",  # empty
+    "\n \n",  # blank
+    "3\n",  # header without m
+    "3 1 0\n0 1\n",  # header with a third field
+    "3 x\n0 1\n",  # header that is not a number
+    "3 2\n0 1\n",  # m says 2 edges, one follows
+    "3 0\n0 1\n",  # m says none, one follows
+    "3 1\n1 0\n",  # u > v
+    "3 1\n1 1\n",  # u = v
+    "3 1\n0 3\n",  # endpoint = n
+    "3 1\n-1 0\n",  # negative endpoint
+    "3 2\n1 2\n0 1\n",  # rows out of order
+    "3 2\n0 1\n0 1\n",  # repeated row
+    "3 1\n0 1 2\n",  # three endpoints
+])
+def test_malformed_edge_list_is_input_error(capsys, tmp_path, text):
+    with pytest.raises(DomainError):
+        parse_edge_text(text)
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "factor", str(path), "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_bad_n_is_input_error(capsys):

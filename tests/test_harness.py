@@ -259,6 +259,28 @@ def test_golden_multigraph_scan_rows():
         assert [line.rsplit(",", 1)[0] for line in got] == [GOLDEN_ROWS[0]] + rows
 
 
+# A multigraph scan whose remainders mostly carry loops: 17 reach the
+# factor stage, 15 of them with loops, and 2 have a factor.  Pinned as the
+# sha256 of its CSV lines without wall_time, and the sha256 of each
+# certificate file by name.
+LOOPY_SCAN = dict(k=2, n=30, c_from=1.5, c_to=4.0, steps=6, trials=8,
+                  base_seed=7, mode="multigraph", beta_override=1.0)
+LOOPY_SCAN_DIGEST = "3d32b00b38b12ef23233147fe278556fa764a3d1db6b47376a653d745d52f89f"
+LOOPY_SCAN_CERTIFICATES = {
+    "c000_t007.json": "01f418ac8a34bb3b6f337aa5f58bb48387366925859161afc5aad7e94aaac0cb",
+    "c001_t006.json": "bc7ca7f1cfe96589a4b3b96ce4cf3a413464bd67deb4923837234af9d8de327b",
+}
+
+
+def test_golden_loopy_multigraph_scan(tmp_path):
+    records, _ = scan(ScanConfig(**LOOPY_SCAN, certificate_dir=str(tmp_path)))
+    rows = [line.rsplit(",", 1)[0] for line in records_to_csv(records).splitlines()]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == LOOPY_SCAN_DIGEST
+    certs = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in tmp_path.iterdir()}
+    assert certs == LOOPY_SCAN_CERTIFICATES
+
+
 def test_scan_thread_invariance(tmp_path):
     seq, _ = scan(GOLDEN_SCAN, threads=1)
     par, _ = scan(GOLDEN_SCAN, threads=4)
@@ -305,6 +327,11 @@ def test_scan_single_point_matches_run_pipeline():
     direct = run_pipeline(300, 5.0, 3, seed=seed, beta_override=0.1)
     assert records[0].to_csv_row().rsplit(",", 1)[0] == (
         direct.to_csv_row().rsplit(",", 1)[0])
+    # run_pipeline's defaults are ScanConfig's, so a default row replays
+    # from its seed alone
+    default = run_pipeline(300, 5.0, 3, seed=seed)
+    assert records[0].to_csv_row().rsplit(",", 1)[0] == (
+        default.to_csv_row().rsplit(",", 1)[0])
 
 
 def test_scan_writes_outputs_and_certificates(tmp_path):
@@ -495,3 +522,8 @@ def test_law_report_shape():
     assert json.dumps(law_report(5.0, c=7.5)) == json.dumps(law_report(5, c=7.5))
     with pytest.raises(DomainError, match="i_max"):
         law_report(k, c=7.5, i_max=9.5)
+    # a string density once raised a bare TypeError inside x_of_c
+    with pytest.raises(DomainError):
+        law_report(k, c="7")
+    with pytest.raises(DomainError):
+        elbr_report(gen_gnp(50, 8.0, 0), k, c="7")

@@ -120,10 +120,16 @@ def test_rejects_nonpositive_k():
 
 
 def test_k_must_be_an_integer():
-    # 2.5 used to peel the 3-core
+    # 2.5 used to peel the 3-core; audit_lw0 once reported on it, and
+    # divided by zero at k = 0
     for k in (2.5, float("nan"), "2", None):
         with pytest.raises(DomainError):
             k_core(HOUSE, k)
+        with pytest.raises(DomainError):
+            audit_lw0(k_core(HOUSE, 2), k)
+    with pytest.raises(DomainError):
+        audit_lw0(k_core(HOUSE, 2), 0)
+    assert audit_lw0(k_core(HOUSE, 2), 2.0) == audit_lw0(k_core(HOUSE, 2), 2)
     res = k_core(HOUSE, 2.0)
     assert res.core == HOUSE and res.peel_order == ()
 
@@ -132,6 +138,9 @@ def test_rejects_multigraph():
     # peeling decrements one degree per distinct neighbor
     with pytest.raises(DomainError):
         k_core(Graph.from_pairs(3, [(0, 1), (0, 1), (1, 2)]), 1)
+    # an edge list is not a Graph: once a bare AttributeError
+    with pytest.raises(DomainError):
+        k_core([(0, 1)], 1)
 
 
 def test_core_is_maximal_fixed_point():

@@ -78,6 +78,16 @@ def test_q_domain_errors():
         tutte_check(C4, 2, {9}, set()).q
     with pytest.raises(DomainError):
         tutte_check(C4, 0, set(), set()).q
+    # vertex ids are integers: 0.5 once evaluated S = {0}, and a string
+    # raised a bare ValueError
+    for bad in ([0.5], [math.nan], ["a"], "0", [[0, 1]], 3):
+        with pytest.raises(DomainError):
+            tutte_check(C4, 2, bad, set())
+        with pytest.raises(DomainError):
+            tutte_check(C4, 2, set(), bad)
+    want = tutte_check(C4, 2, {0}, {1, 3})
+    assert tutte_check(C4, 2, [np.int64(0)], np.array([3.0, 1.0])) == want
+    assert tutte_check(C4, 2, (0.0,), frozenset({1, 3})) == want
 
 
 # --------------------------------------------------------- tutte_check
@@ -860,6 +870,13 @@ def test_audit_guards():
         audit_properties(C4, 2, sample_budget=200.5)
     with pytest.raises(DomainError, match="seed"):
         audit_properties(C4, 2, seed=1.5)
+    # a string once raised a bare TypeError; both are stored as floats, so
+    # a numpy float32 report writes its JSON
+    for bad in ({"epsilon0": "0.5"}, {"gamma": "0.1"}, {"gamma": None}):
+        with pytest.raises(DomainError):
+            audit_properties(C4, 2, **bad)
+    rep = audit_properties(C4, 2, epsilon0=np.float32(0.5), gamma=np.float32(0.1))
+    assert json.loads(rep.to_json())["gamma"] == float(np.float32(0.1))
     # seeds of any sign and up to 64 unsigned bits pass
     for seed in (-1, 2**64 - 1):
         audit_properties(C4, 2, seed=seed)

@@ -31,7 +31,7 @@ from kflab.randgraph import (
     sample_from_rw,
     to_multigraph,
 )
-from kflab.rng import spawn_seed
+from kflab.rng import make_rng, spawn_seed
 
 
 def all_pairings(copies):
@@ -85,6 +85,23 @@ def test_gnp_rejects_bad_arguments():
         gen_gnp(0, 1.0, 0)
     with pytest.raises(DomainError):
         gen_gnp(5, -0.1, 0)
+    # each of these once raised a bare TypeError
+    for args in (("10", 5.0, 0), (10, "5", 0), (10, 5.0, 1.5), (10, None, 0)):
+        with pytest.raises(DomainError):
+            gen_gnp(*args)
+    assert gen_gnp(10.0, np.float32(5.0), np.int64(3)) == gen_gnp(10, 5.0, 3)
+
+
+def test_seeds_must_be_integers():
+    # a float seed once raised a bare TypeError from the 64-bit mask
+    for call in (lambda s: make_rng(s), lambda s: spawn_seed(s, "x"),
+                 lambda s: spawn_seed(0, "x", s),
+                 lambda s: sample_configuration([1, 1], s)):
+        for bad in (1.5, "1", None):
+            with pytest.raises(DomainError):
+                call(bad)
+    assert spawn_seed(np.int64(-1), "x", np.uint8(2)) == spawn_seed(2**64 - 1, "x", 2)
+    assert make_rng(np.int64(-1)).random() == make_rng(2**64 - 1).random()
 
 
 def test_pair_index_decode_exhaustive():

@@ -8,6 +8,7 @@ from-scratch invariant checker.
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -158,6 +159,12 @@ def test_cap_reached_halts_early():
 def test_cap_uses_ambient_n():
     res = run_strip(HOUSE, 2, beta_override=0.2, ambient_n=50)
     assert res.cap == 10
+    assert run_strip(HOUSE, 2, beta_override=0.2, ambient_n=50.0).cap == 10
+    # the ambient graph holds the core, so it has at least core.n vertices;
+    # 2.5 once capped at ceil(0.2 * 2) and -5 at -4
+    for bad in (2.5, -5, 4, "x", math.nan, [50]):
+        with pytest.raises(DomainError):
+            run_strip(HOUSE, 2, beta_override=0.2, ambient_n=bad)
 
 
 # --------------------------------------------------------- randomized checks
@@ -497,6 +504,11 @@ def test_verify_k_reports():
     empty = Graph(0, [])
     rep = verify_K(empty, 3, ambient_n=9)
     assert rep.k1 and rep.k2 and rep.k4 and rep.k3 is False
+    assert verify_K(k4graph, 3, ambient_n=12.0) == verify_K(k4graph, 3, ambient_n=12)
+    # 'x' once raised a bare TypeError; an ambient graph holds K
+    for bad in ("x", 2.5, 3, -1):
+        with pytest.raises(DomainError):
+            verify_K(k4graph, 3, ambient_n=bad)
 
 
 def test_enforce_parity_none_when_even():
