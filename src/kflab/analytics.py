@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .graphs import _integer
+from .graphs import _integer, _real
 
 __all__ = [
     "ThresholdParams",
@@ -163,6 +163,7 @@ def x_of_c(c: float, k: int) -> float:
 
     f rises past x_k and f(x) >= x, so the root lies in [x_k, c].
     """
+    c = _real(c, "c")
     c_k, x_k = c_k_threshold(k)
     if not c_k - 1e-12 <= c < math.inf:
         raise DomainError(f"x_of_c needs finite c >= c_k = {c_k:.10g}, got c = {c}")

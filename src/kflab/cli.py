@@ -191,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=8)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=MODES, default="simple")
-    p.add_argument("--beta-override", type=float, default=0.1,
+    p.add_argument("--mode", choices=MODES, default=ScanConfig.mode)
+    p.add_argument("--beta-override", type=float, default=ScanConfig.beta_override,
                    help="replace e^(-k/200) in the deletion cap")
     p.add_argument("--out", default=None, help="CSV destination")
     p.add_argument("--summary-out", default=None)

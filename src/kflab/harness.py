@@ -148,11 +148,6 @@ def _check_run(n, k, mode, beta_override) -> tuple[int, int]:
     return n, k
 
 
-def _strip_loops(g: Graph) -> Graph:
-    """Loops cannot carry factor degree; drop them before the search."""
-    return Graph(g.n, g.edge_array, _canonical=True, mult=g.mult)
-
-
 def _pipeline(n, c, k, seed, trial, mode, beta_override):
     """Full chain on checked inputs; returns (ScanRecord, certificate-or-None).
 
@@ -207,7 +202,7 @@ def _pipeline(n, c, k, seed, trial, mode, beta_override):
         # run already counts as a miss
         if K.n > 0 and rep.k1 and rep.k4:
             stage = "factor"
-            cert = find_k_factor(_strip_loops(K), k)
+            cert = find_k_factor(K, k)
             row["factor_found"] = cert is not None
     except Exception as exc:  # noqa: BLE001 - scans must never panic
         row["error"] = f"{stage}:{type(exc).__name__}:{exc}".replace(",", ";")
@@ -222,17 +217,17 @@ def run_pipeline(
     c: float,
     k: int,
     seed: int,
-    mode: str = "simple",
-    beta_override: float | None = None,
+    mode: str = ScanConfig.mode,
+    beta_override: float | None = ScanConfig.beta_override,
 ) -> ScanRecord:
     """One generation-to-factor run; deterministic per seed.
 
-    The inputs pass ScanConfig.validate's checks before any stage runs (c
-    finite and >= 0); stage failures then land in the record's error field
-    instead of raising.  The factor search runs on the remainder (loops
-    dropped, parallel edges kept in multigraph mode) only when its degrees
-    sit in [k, 2k] and k|K| is even, so factor_found = True implies those
-    checks passed.
+    The defaults are ScanConfig's, so a default scan row replays from its
+    seed.  The inputs pass ScanConfig.validate's checks before any stage
+    runs (c finite and >= 0); stage failures then land in the record's
+    error field instead of raising.  find_k_factor, which leaves loops
+    out, runs on the remainder only when its degrees sit in [k, 2k] and
+    k|K| is even, so factor_found = True implies those checks passed.
     """
     n, k = _check_run(n, k, mode, beta_override)
     c = _real(c, "c")
@@ -240,11 +235,6 @@ def run_pipeline(
         raise DomainError(f"c must be finite and >= 0, got {c}")
     record, _ = _pipeline(n, c, k, _seed(seed, "seed"), 0, mode, beta_override)
     return record
-
-
-def _scan_worker(task):
-    record, cert = _pipeline(*task)
-    return record, None if cert is None else cert.to_json()
 
 
 def _constants_block(k: int):
@@ -289,22 +279,23 @@ def scan(config: ScanConfig, threads: int = 1):
         for ci, c in enumerate(grid)
         for trial in range(config.trials)
     ]
+    columns = zip(*tasks)
     if threads == 1:
-        results = [_scan_worker(t) for t in tasks]
+        results = list(map(_pipeline, *columns))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_scan_worker, tasks))
+            results = list(pool.map(_pipeline, *columns))
     records = [record for record, _ in results]
 
     cert_dir = config.certificate_dir
     if cert_dir:
         os.makedirs(cert_dir, exist_ok=True)
-        for i, (record, cert_json) in enumerate(results):
-            if cert_json is not None:
+        for i, (record, cert) in enumerate(results):
+            if cert is not None:
                 ci = i // config.trials
                 path = os.path.join(cert_dir, f"c{ci:03d}_t{record.trial:03d}.json")
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(cert_json + "\n")
+                    fh.write(cert.to_json() + "\n")
 
     points = []
     for ci, c in enumerate(grid):

@@ -44,8 +44,8 @@ class CoreResult:
 def k_core(g: Graph, k: int) -> CoreResult:
     """Peel to the maximal induced subgraph with minimum degree >= k."""
     k = _integer(k, 1, "k")
-    if not g.is_simple():
-        raise DomainError("k_core peels simple graphs only")
+    if not isinstance(g, Graph) or not g.is_simple():
+        raise DomainError("k_core peels simple Graphs only")
     deg = g.degrees.copy()
     alive = np.ones(g.n, dtype=bool)
     frontier = np.flatnonzero(deg < k)
@@ -104,6 +104,7 @@ def audit_lw0(result: CoreResult, k: int) -> Lw0Report:
 
     W0 is the set of core vertices of degree exactly k, R the rest.
     """
+    k = _integer(k, 1, "k")
     core = result.core
     n = float(result.ambient_n)
     deg = core.degrees

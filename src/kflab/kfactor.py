@@ -41,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, KflabError
-from .graphs import Graph, _integer
+from .graphs import Graph, _int64, _integer, _real
 from .matching import maximum_matching, perfect_matching_exists
 from .rng import _seed, make_rng, spawn_seed
 
@@ -101,9 +101,21 @@ class FactorCertificate:
         return json.dumps(self, default=vars, separators=(",", ":"))
 
 
+def _vertex_set(values, what: str) -> set[int]:
+    """values as a set of ints; DomainError unless they are a collection of
+    integers (integral floats pass, 0.5 and nan do not)."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise DomainError(f"{what} must be a collection of vertex ids") from None
+    ids = _int64(values, what)
+    if ids.ndim != 1:
+        raise DomainError(f"{what} must be a flat collection of vertex ids")
+    return set(ids.tolist())
+
+
 def _check_sets(g: Graph, S, T) -> tuple[set[int], set[int]]:
-    s = {int(v) for v in S}
-    t = {int(v) for v in T}
+    s, t = _vertex_set(S, "S"), _vertex_set(T, "T")
     if s & t:
         raise DomainError(f"S and T overlap: {sorted(s & t)}")
     for v in s | t:
@@ -259,7 +271,8 @@ class GadgetReduction:
     the matched external-external pairs.
 
     int64 arrays, over the m host edge instances (rows repeated by
-    multiplicity, in canonical order): host_degrees (n_host,) is d(v);
+    multiplicity, in canonical order, loops left out): host_degrees
+    (n_host,) is d(v), v's ends among them;
     base (n_host,) is v's first node, its externals base[v] + [0, d(v))
     and its slacks next; pair_edges (m, 2) row j joins the externals of
     instance j, external i of v being v's i-th end in instance order.
@@ -287,19 +300,23 @@ class GadgetReduction:
 
 
 def _host_instances(g) -> np.ndarray:
-    """g's edge rows repeated by multiplicity: an (m, 2) canonical array."""
+    """g's edge rows repeated by multiplicity, loops left out (a loop adds
+    2 to one vertex, so no k-factor uses one): an (m, 2) canonical array."""
     if not isinstance(g, Graph):
         raise DomainError(f"expected a Graph, got {type(g).__name__}")
-    if g.loops is not None:
-        raise DomainError("loops cannot participate in a k-factor; "
-                          "strip or reject them first")
     return g.edge_array if g.mult is None else np.repeat(g.edge_array, g.mult, axis=0)
 
 
+def _host_degrees(g: Graph) -> np.ndarray:
+    """Each vertex's ends in _host_instances(g): its degree less its loops."""
+    return g.degrees if g.loops is None else g.degrees - 2 * g.loops
+
+
 def gadget_reduce(g, k: int) -> GadgetReduction:
+    """g's gadget, loops left out; InfeasibleError if some d(v) < k."""
     k = _integer(k, 1, "k")
     rows = _host_instances(g)
-    n, deg = g.n, g.degrees
+    n, deg = g.n, _host_degrees(g)
     low = np.flatnonzero(deg < k)
     if len(low):
         v = int(low[0])
@@ -438,14 +455,15 @@ def _seed_mate(gadget: GadgetReduction, chosen) -> np.ndarray:
 def find_k_factor(g, k: int):
     """Construct a k-factor, or return None when none exists.
 
-    Immediate Nones: odd k * n (parity makes a factor impossible) and any
-    vertex of degree < k.  Otherwise the gadget is built, seeded from the
+    Loops are left out, as no factor uses one.  Immediate Nones: odd k * n
+    (parity makes a factor impossible) and any vertex with fewer than k
+    other edge ends.  Otherwise the gadget is built, seeded from the
     greedy subgraph, and completed by the matching engine; the resulting
     certificate is re-verified before it is returned.
     """
     k = _integer(k, 1, "k")
     rows = _host_instances(g)
-    if (k * g.n) % 2 == 1 or np.any(g.degrees < k):
+    if (k * g.n) % 2 == 1 or np.any(_host_degrees(g) < k):
         return None
     if g.n == 0:
         return FactorCertificate(k=k, edges=(), degrees=())
@@ -758,6 +776,7 @@ def audit_properties(
     """
     _require_simple(K)
     k = _integer(k, 1, "k")
+    epsilon0, gamma = _real(epsilon0, "epsilon0"), _real(gamma, "gamma")
     if not 0 < epsilon0 <= 1 or not 0 < gamma <= 1:
         raise DomainError("epsilon0 and gamma must be in (0, 1]")
     sample_budget = _integer(sample_budget, 1, "sample_budget")

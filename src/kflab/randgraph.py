@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, ParityError
-from .graphs import Graph, _int64, _int_pairs
+from .graphs import Graph, _int64, _int_pairs, _integer, _real
 from .rng import make_rng
 
 __all__ = [
@@ -124,8 +124,7 @@ def gen_gnp(n: int, c: float, seed: int) -> Graph:
 
     Deterministic per (n, c, seed); p is clamped to [0, 1].
     """
-    if n < 1:
-        raise DomainError(f"gen_gnp needs n >= 1, got {n}")
+    n, c = _integer(n, 1, "n"), _real(c, "c")
     if not c >= 0:
         raise DomainError(f"gen_gnp needs c >= 0, got {c}")
     p = min(c / n, 1.0)

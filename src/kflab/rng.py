@@ -31,13 +31,13 @@ def _seed(value, what: str) -> int:
 def spawn_seed(base: int, label: str, *indices: int) -> int:
     """Derive a 64-bit sub-seed from (base, label, *indices)."""
     h = hashlib.blake2s(digest_size=8)
-    h.update((base & _MASK).to_bytes(8, "little"))
+    h.update((_seed(base, "base seed") & _MASK).to_bytes(8, "little"))
     h.update(label.encode("utf-8"))
     for ix in indices:
-        h.update((ix & _MASK).to_bytes(8, "little"))
+        h.update((_seed(ix, "seed index") & _MASK).to_bytes(8, "little"))
     return int.from_bytes(h.digest(), "little")
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 generator from a 64-bit seed; the stream is version-stable."""
-    return np.random.default_rng(np.random.SeedSequence(seed & _MASK))
+    return np.random.default_rng(np.random.SeedSequence(_seed(seed, "seed") & _MASK))

@@ -186,7 +186,8 @@ class StripState:
         self.core = core
         self.k = k
         self.n = n
-        self.ambient_n = int(ambient_n) if ambient_n is not None else n
+        # the ambient graph holds the core
+        self.ambient_n = n if ambient_n is None else _integer(ambient_n, n, "ambient_n")
         self.beta_eff, self.cap = strip_cap(k, self.ambient_n, beta_override)
         self.k7b = float(k) ** 7 * self.beta_eff
         self.debug = debug
@@ -428,6 +429,8 @@ def verify_K(K: Graph, k: int, ambient_n: int | None = None) -> KReport:
     n/3 when the ambient n is supplied (None otherwise).  K4: k|K| even.
     Degrees count multiplicity, and loops twice.
     """
+    if ambient_n is not None:
+        ambient_n = _integer(ambient_n, K.n, "ambient_n")
     deg = K.degrees
     k1 = bool(np.all((deg >= k) & (deg <= 2 * k)))
     low_nbrs = K.neighbors_in(deg == k)

@@ -21,7 +21,6 @@ from kflab import kfactor
 from kflab.analytics import c_k_threshold
 from kflab.errors import DomainError, InfeasibleError
 from kflab.graphs import Graph
-from kflab.harness import _strip_loops
 from kflab.kcore import k_core
 from kflab.kfactor import (
     BRUTE_FORCE_CAP,
@@ -277,8 +276,6 @@ def test_gadget_errors():
     with pytest.raises(InfeasibleError):
         gadget_reduce(Graph(3, [(0, 1), (1, 2), (2, 0)]), 3)
     with pytest.raises(DomainError):
-        gadget_reduce(Graph.from_pairs(1, [(0, 0)]), 1)
-    with pytest.raises(DomainError):
         gadget_reduce(C4, 0)
 
 
@@ -438,7 +435,7 @@ def test_factor_golden_mates(monkeypatch):
 # The same digests on more hosts.  "config": configuration multigraphs
 # with parallel edges, pairing the degrees of the 4-core of
 # G(300, (c_4 + 0.2)/n) by sample_configuration with the same seed, loops
-# stripped as a scan strips them.  "gnp": two more 4-cores as in
+# and all, as a scan hands them over.  "gnp": two more 4-cores as in
 # GOLDEN_MATES.
 GOLDEN_MORE_MATES = [
     ("config", 1, False, "5ad7dad0170603409e6be21127c189ca955533513ddc95550fc33706dc148d35",
@@ -469,7 +466,7 @@ def test_factor_golden_more_mates(monkeypatch):
     for kind, seed, found, seed_digest, mate_digest in GOLDEN_MORE_MATES:
         if kind == "config":
             degrees = k_core(gen_gnp(300, c_k_threshold(4)[0] + 0.2, seed), 4).core.degrees
-            host = _strip_loops(to_multigraph(sample_configuration(degrees, seed)))
+            host = to_multigraph(sample_configuration(degrees, seed))
             assert host.mult is not None and np.any(host.mult > 1), seed
         else:
             host = k_core(gen_gnp(600, c_k_threshold(4)[0] + 0.2, seed), 4).core
@@ -480,7 +477,7 @@ def test_factor_golden_more_mates(monkeypatch):
 # of one '0'/'1' per host edge instance and a ';' after each host: 4-cores
 # of G(600, (c_4 + 0.2)/n) by gen_gnp seed (the factor_none workload's
 # hosts), then configuration multigraphs pairing the degrees of 4-cores of
-# G(300, (c_4 + 0.2)/n), loops stripped as a scan strips them.
+# G(300, (c_4 + 0.2)/n), loops and all, as a scan hands them over.
 GREEDY_DIGEST = "ffbfbe4248945e13c970b21b72b857239db2c83d02e72e380cb2d83e50fbb823"
 
 
@@ -490,7 +487,7 @@ def greedy_hosts():
         yield k_core(gen_gnp(600, c, seed), 4).core
     for seed in range(20):
         degrees = k_core(gen_gnp(300, c, seed), 4).core.degrees
-        yield _strip_loops(to_multigraph(sample_configuration(degrees, seed)))
+        yield to_multigraph(sample_configuration(degrees, seed))
 
 
 def test_greedy_digest():
@@ -587,9 +584,30 @@ def test_factor_multigraph_parallel_edges():
     assert verify_k_factor(mg, cert.edges, 2)
 
 
-def test_factor_rejects_loops():
-    with pytest.raises(DomainError):
-        find_k_factor(Graph.from_pairs(1, [(0, 0)]), 2)
+def test_factor_leaves_loops_out():
+    # a host with loops has the certificate, or the None, and the gadget of
+    # its loop-free part, built here as the reference
+    hosts = [(2, Graph.from_pairs(1, [(0, 0)])),
+             (2, Graph.from_pairs(3, [(0, 1), (1, 2), (2, 0), (1, 1)]))]
+    for seed in range(8, 14):  # GOLDEN_MORE_MATES's "config" hosts, loops kept
+        degrees = k_core(gen_gnp(300, c_k_threshold(4)[0] + 0.2, seed), 4).core.degrees
+        hosts.append((4, to_multigraph(sample_configuration(degrees, seed))))
+    loopy = 0
+    for k, g in hosts:
+        part = Graph(g.n, g.edge_array, _canonical=True, mult=g.mult)
+        loopy += g.loops is not None
+        assert find_k_factor(g, k) == find_k_factor(part, k), (k, g)
+        try:
+            want = gadget_reduce(part, k)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                gadget_reduce(g, k)
+            continue
+        got = gadget_reduce(g, k)
+        assert (got.n_host, got.k, got.n_nodes) == (want.n_host, want.k, want.n_nodes)
+        for name in ("pair_edges", "base", "host_degrees", "edges"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert loopy >= 5
 
 
 def test_factor_k_guard():
@@ -638,15 +656,15 @@ def test_factor_golden_certificates():
 
 def corpus_hosts():
     """k-cores of G(n, (c_k + delta)/n), k = 3..6, n <= 300, each followed
-    by a configuration multigraph on its degrees with loops stripped as a
-    scan strips them."""
+    by a configuration multigraph on its degrees, loops and all, as a scan
+    hands them over."""
     for k in (3, 4, 5, 6):
         c = c_k_threshold(k)[0]
         for seed in range(230):
             n = (100, 150, 200, 300)[seed % 4]
             core = k_core(gen_gnp(n, c + (0.3, 1.0, 2.0)[seed % 3], seed), k).core
             yield k, core
-            yield k, _strip_loops(to_multigraph(sample_configuration(core.degrees, seed)))
+            yield k, to_multigraph(sample_configuration(core.degrees, seed))
 
 
 # sha256 over "found,exposed;" per corpus host, exposed being the gadget
