@@ -166,6 +166,8 @@ def test_non_integer_edge_is_input_error(capsys, tmp_path):
     "3 2\n1 2\n0 1\n",  # rows out of order
     "3 2\n0 1\n0 1\n",  # repeated row
     "3 1\n0 1 2\n",  # three endpoints
+    "3 1\n0 99999999999999999999\n",  # endpoint beyond int64
+    "3 1\n0 1.5\n",  # endpoint that is not an integer
 ])
 def test_malformed_edge_list_is_input_error(capsys, tmp_path, text):
     with pytest.raises(DomainError):

@@ -17,6 +17,7 @@ from scipy import stats
 from kflab.analytics import c_k_threshold
 from kflab.errors import DomainError, InfeasibleError, ParityError
 from kflab.graphs import Graph, format_edge_text, parse_edge_text
+from kflab import randgraph
 from kflab.kcore import k_core
 from kflab.randgraph import (
     R,
@@ -127,6 +128,20 @@ def test_pair_index_decode_row_boundaries_large_n():
     for t, (u, v) in zip(sorted(set(ts)), decoded.tolist()):
         assert 0 <= u < v < n
         assert u * (2 * n - u - 1) // 2 + (v - u - 1) == t
+
+
+def test_gnp_second_batch_continues_at_the_boundary(monkeypatch):
+    # with every uniform at 0 each gap is 1, so the first batch of 1,056
+    # gaps stops short of the 1,770 pairs of K60 and a second batch follows
+    class ZeroRng:
+        def random(self, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(randgraph, "make_rng", lambda seed: ZeroRng())
+    g = gen_gnp(60, 1.0, 0)
+    assert np.array_equal(
+        g.edge_array, np.array(list(itertools.combinations(range(60), 2)))
+    )
 
 
 def test_gnp_edge_count_near_binomial_mean():
@@ -340,6 +355,30 @@ def test_multigraph_from_pairs():
     with pytest.raises(DomainError):
         Graph(3, rows, _canonical=True, loops=[1, 0])
     assert Graph(3, rows, _canonical=True, mult=[2, 1]).degrees.tolist() == [2, 3, 1]
+
+
+def test_simple_graph_equals_from_pairs_on_shuffled_flipped_rows():
+    # Graph(n, pairs) is the canonical graph from_pairs builds, byte for
+    # byte, whatever the row order and orientation; a loop or a repeated
+    # pair is not a simple graph
+    rng = np.random.default_rng(24)
+    for _ in range(60):
+        n = int(rng.integers(1, 25))
+        every = np.array(list(itertools.combinations(range(n), 2)),
+                         dtype=np.int64).reshape(-1, 2)
+        pairs = every[rng.permutation(len(every))[:int(rng.integers(0, len(every) + 1))]]
+        flip = rng.random(len(pairs)) < 0.5
+        pairs[flip] = pairs[flip][:, ::-1]
+        g, ref = Graph(n, pairs), Graph.from_pairs(n, pairs)
+        assert g == ref and g.is_simple()
+        assert g.edge_array.tobytes() == ref.edge_array.tobytes()
+        v = int(rng.integers(0, n))
+        extras = [(v, v)] + ([pairs[int(rng.integers(0, len(pairs)))][::-1]]
+                             if len(pairs) else [])
+        for extra in extras:
+            at = int(rng.integers(0, len(pairs) + 1))
+            with pytest.raises(DomainError):
+                Graph(n, np.insert(pairs, at, extra, axis=0))
 
 
 def test_vertex_count_must_be_an_integer():

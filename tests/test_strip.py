@@ -32,6 +32,7 @@ from kflab.strip import (
     StripResult,
     StripState,
     StripTrace,
+    TraceRow,
     check_state_invariants,
     enforce_parity,
     run_strip,
@@ -119,6 +120,15 @@ def test_k5_with_k2_has_empty_queue():
     st_ = StripState(K5, 2, beta_override=1.0)
     assert st_.n_w0 == 0  # every degree is 4 = 2k, nobody is low
     assert queue_ids(st_) == []
+
+
+def test_step_on_empty_queue_is_a_no_op_row():
+    c8 = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    st_ = StripState(c8, 2, beta_override=1.0)
+    assert st_.q_empty
+    before = (st_.iteration, list(st_.trace_rows), bytes(st_.alive))
+    assert strip_step(st_) == TraceRow(0, -1, 0, 8, 0, 0, 0, 0, 0, 0.0, 0)
+    assert (st_.iteration, list(st_.trace_rows), bytes(st_.alive)) == before
 
 
 def test_zero_degree_deletion_leaves_x_unchanged():
