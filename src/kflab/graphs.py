@@ -92,26 +92,20 @@ class Graph:
 
     def __init__(self, n: int, edges, *, _canonical: bool = False,
                  mult=None, loops=None):
-        """Simple graph from distinct non-loop pairs.  With _canonical the
-        pairs are trusted to be in canonical order already, and mult and
-        loops may give a multigraph's multiplicities (one per row) and loop
-        counts (one per vertex); Graph.from_pairs is the public way to them."""
-        n = _integer(n, 0, "vertex count")
-        if _canonical:
-            arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        else:
+        """Simple graph from distinct non-loop pairs, canonicalized by
+        from_pairs.  With _canonical the pairs are trusted to be in
+        canonical order already, and mult and loops may give a multigraph's
+        multiplicities (one per row) and loop counts (one per vertex);
+        Graph.from_pairs is the public way to them."""
+        if not _canonical:
             if mult is not None or loops is not None:
                 raise DomainError("mult and loops need _canonical; use from_pairs")
-            arr = _pairs(n, edges)
-            if np.any(arr[:, 0] == arr[:, 1]):
-                raise DomainError("self-loops not allowed in a simple graph")
-            arr = np.sort(arr, axis=1)
-            order = np.lexsort((arr[:, 1], arr[:, 0]))
-            arr = arr[order]
-            if len(arr) > 1:
-                dup = np.all(arr[1:] == arr[:-1], axis=1)
-                if dup.any():
-                    raise DomainError("duplicate edges not allowed in a simple graph")
+            g = Graph.from_pairs(n, edges)
+            if not g.is_simple():
+                raise DomainError("a simple graph has no self-loops or repeated pairs")
+            n, edges = g.n, g.edge_array
+        n = _integer(n, 0, "vertex count")
+        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if (mult is not None and np.shape(mult) != (len(arr),)
                 or loops is not None and np.shape(loops) != (n,)):
             raise DomainError("mult needs one entry per edge row, loops one per vertex")
@@ -289,17 +283,11 @@ def parse_edge_text(text: str) -> Graph:
         raise DomainError(f"bad header: {rows[0]!r}") from exc
     if m != len(rows) - 1:
         raise DomainError(f"header claims {m} edges, found {len(rows) - 1}")
-    edges = np.empty((m, 2), dtype=np.int64)
-    prev = (-1, -1)
-    for i, row in enumerate(rows[1:]):
-        try:
-            u, v = map(int, row.split())
-        except ValueError as exc:
-            raise DomainError(f"bad edge line: {row!r}") from exc
-        if not (0 <= u < v < n):
-            raise DomainError(f"edge ({u},{v}) violates 0 <= u < v < n")
-        if (u, v) <= prev:
-            raise DomainError("edges must be sorted lexicographically and unique")
-        prev = (u, v)
-        edges[i] = (u, v)
-    return Graph(n, edges, _canonical=True)
+    try:
+        edges = np.array([row.split() for row in rows[1:]], dtype=np.int64).reshape(m, 2)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError("each edge line must be two integers 'u v'") from exc
+    g = Graph(n, edges)
+    if not np.array_equal(g.edge_array, edges):
+        raise DomainError("edge lines must be listed in canonical order: u < v, sorted")
+    return g

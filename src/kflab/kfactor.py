@@ -25,10 +25,11 @@ both routes to a verdict:
 
 audit_properties measures the expansion-style properties P1-P6 that a
 stripped remainder is expected to satisfy, always reported as margins
-rather than asserted.  Each property's size test, margin and violation
-rule is written once, in one table that both audits apply: up to 12
-vertices to every subset pair at once, as array arithmetic over vertex
-bitmasks; beyond that to a randomized search with greedy worsening.
+rather than asserted.  Each property's part-size ranges, margin and
+violation rule are written once, in one table that both audits apply: up
+to 12 vertices to every subset pair at once, as array arithmetic over
+vertex bitmasks; beyond that to a randomized search that draws sizes from
+those ranges, with greedy worsening.
 """
 
 import json
@@ -546,9 +547,17 @@ EXACT_AUDIT_CAP = 12
 @dataclass(frozen=True)
 class _Property:
     name: str
-    pair: bool  # measured on disjoint (X, Y); otherwise on Y alone, nx = 0
-    eligible: Callable  # (nx, ny) -> the size test
+    ranges: tuple  # inclusive (lo, hi) size of each part: (Y,) or (X, Y)
     margin: Callable  # (nx, ny, stats) -> (margin, violated)
+    joint: Callable | None = None  # (nx, ny) -> the size test ranges cannot state
+
+    def eligible(self, nx, ny):
+        """The size test: each part in its range, then the joint test.  A
+        one-set property reads only ny."""
+        ok = True
+        for (lo, hi), size in zip(self.ranges[::-1], (ny, nx)):
+            ok = ok & (lo <= size) & (size <= hi)
+        return ok if self.joint is None else ok & self.joint(nx, ny)
 
 
 def _nonpositive(m):
@@ -562,6 +571,11 @@ def _negative(m):
 def _properties(n: int, k: int, eps0: float, gamma: float) -> tuple[_Property, ...]:
     """P1-P6 on a graph of n vertices: the one definition both audits apply.
 
+    Each part's size range is stated once, as integer bounds: the exact
+    audit tests sizes against them and the sampled audit draws from them.
+    A property has one range (Y alone, nx = 0) or two (X, Y); joint holds
+    the one test on both sizes that ranges cannot state.
+
     stats holds e_y = e(Y), cut_y = e(Y, V - Y), e_xy = e(X, Y),
     common = |N(X) & Y| and dsum_y, the degree sum of Y.  Sizes, stats and
     results are Python numbers or, elementwise, numpy arrays.  A margin is
@@ -569,12 +583,14 @@ def _properties(n: int, k: int, eps0: float, gamma: float) -> tuple[_Property, .
     clause is below zero or its degree clause at most zero, the rest at
     zero or below.  In P5 and P6, X plays S and Y plays T.
 
-    P6 is the one size test that admits an empty X (S).  The exact audit
+    P6 is the one size range that admits an empty X (S).  The exact audit
     enumerates nonempty X only and the sampled one draws |X| from [0, n];
     tests pin both, so the two audits differ there.
     """
     root = math.sqrt(k * math.log(k)) if k > 1 else 0.0
     c6a, c6b = 0.75 * root, 0.875 * root
+    # |Y| <= eps0 n, |Y| < eps0 n / 10 and |Y| >= eps0 n / 10 on integers
+    small, tenth = int(eps0 * n), math.ceil(eps0 * n / 10)
 
     def p6(nx, ny, s):
         m1 = k * nx + c6a * ny - s.e_xy
@@ -582,25 +598,33 @@ def _properties(n: int, k: int, eps0: float, gamma: float) -> tuple[_Property, .
         return np.minimum(m1, m2), (m1 < 0) | (m2 <= 0)
 
     return (
-        _Property("P1", False,
-                  lambda nx, ny: (ny >= 1) & (ny <= 10.0 * eps0 * n),
+        _Property("P1", ((1, int(10 * eps0 * n)),),
                   lambda nx, ny, s: _nonpositive(k * ny / 6000.0 - s.e_y)),
-        _Property("P2", False,
-                  lambda nx, ny: (ny >= 1) & (2 * ny <= n),
+        _Property("P2", ((1, n // 2),),
                   lambda nx, ny, s: _negative(s.cut_y - gamma * k * ny)),
-        _Property("P3", True,
-                  lambda nx, ny: ((nx >= 1) & (ny >= 1) & (200 * nx >= ny)
-                                  & (ny <= eps0 * n)),
-                  lambda nx, ny, s: _nonpositive(0.5 * gamma * k * nx - s.e_xy)),
-        _Property("P4", True,
-                  lambda nx, ny: (nx >= 1) & (ny >= 1) & (nx + ny <= eps0 * n),
+        _Property("P3", ((1, n), (1, small)),
+                  lambda nx, ny, s: _nonpositive(0.5 * gamma * k * nx - s.e_xy),
+                  joint=lambda nx, ny: 200 * nx >= ny),
+        _Property("P4", ((1, small), (1, small)),
                   lambda nx, ny, s: _nonpositive(
-                      (1 + 1 / 2000.0) * s.common + k * nx / 100.0 - s.e_xy)),
-        _Property("P5", True,
-                  lambda nx, ny: ((nx > 9.0 * eps0 * n / 10.0) & (ny >= 1)
-                                  & (ny < eps0 * n / 10.0)),
+                      (1 + 1 / 2000.0) * s.common + k * nx / 100.0 - s.e_xy),
+                  joint=lambda nx, ny: nx + ny <= eps0 * n),
+        _Property("P5", ((int(9 * eps0 * n / 10) + 1, n), (1, tenth - 1)),
                   lambda nx, ny, s: _nonpositive(0.75 * k * nx - s.e_xy)),
-        _Property("P6", True, lambda nx, ny: (ny >= 1) & (ny >= eps0 * n / 10.0), p6),
+        _Property("P6", ((0, n), (max(1, tenth), n)), p6),
+    )
+
+
+def _result(name, mode, checked, violations, worst, witness) -> PropertyResult:
+    """One property's result: vacuous when nothing was checked, the worst
+    margin a float."""
+    return PropertyResult(
+        name=name,
+        mode=mode if checked else "vacuous",
+        checked=checked,
+        violations=violations,
+        worst_margin=None if worst is None else float(worst),
+        witness=witness,
     )
 
 
@@ -617,23 +641,23 @@ def _audit_exact(g: Graph, k, eps0, gamma) -> list[PropertyResult]:
 
     def blocks():
         ys = masks[:0:-1]
-        yield False, np.zeros_like(ys), masks[1:]
+        yield 1, np.zeros_like(ys), masks[1:]
         # 64 X at a time against every Y: row-major order keeps X
         # ascending, then Y descending
         for first in range(1, 1 << n, 64):
             xs, grid_y = np.broadcast_arrays(masks[first:first + 64, None], ys)
             disjoint = (xs & grid_y) == 0
-            yield True, xs[disjoint], grid_y[disjoint]
+            yield 2, xs[disjoint], grid_y[disjoint]
 
     tally = {p.name: [0, 0, None, None] for p in props}
-    for pair, x, y in blocks():
+    for parts, x, y in blocks():
         nx, ny = size[x], size[y]
         stats = SimpleNamespace(
             e_y=e_in[y], cut_y=dsum[y] - 2 * e_in[y],
             e_xy=e_in[x | y] - e_in[x] - e_in[y], common=size[nbr[x] & y],
             dsum_y=dsum[y])
         for p in props:
-            if p.pair != pair:
+            if len(p.ranges) != parts:
                 continue
             ok = p.eligible(nx, ny)
             if not ok.any():
@@ -644,15 +668,10 @@ def _audit_exact(g: Graph, k, eps0, gamma) -> list[PropertyResult]:
             t[1] += int(np.count_nonzero(violated & ok))
             i = int(np.argmin(np.where(ok, margin, np.inf)))
             if t[2] is None or margin[i] < t[2]:
-                t[2] = float(margin[i])
+                t[2] = margin[i]
                 t[3] = tuple(tuple(np.flatnonzero(bits[part[i]]).tolist())
-                             for part in ((x, y) if pair else (y,)))
-    return [
-        PropertyResult(name=name, mode="exact" if checked else "vacuous",
-                       checked=checked, violations=viol, worst_margin=worst,
-                       witness=witness)
-        for name, (checked, viol, worst, witness) in tally.items()
-    ]
+                             for part in (x, y)[-parts:])
+    return [_result(name, "exact", *t) for name, t in tally.items()]
 
 
 class _SampledStats:
@@ -688,19 +707,8 @@ def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResul
     n = g.n
     local_moves = 8
     draws = max(1, budget // (6 * (1 + local_moves)))
-    # where each part's size is drawn from; the table's size test decides
-    p34_cap = int(eps0 * n)
-    tenth = math.ceil(eps0 * n / 10)
-    draw_ranges = (
-        [(1, int(10 * eps0 * n))],
-        [(1, n // 2)],
-        [(1, n), (1, min(p34_cap, 200 * n))],
-        [(1, p34_cap), (1, p34_cap)],
-        [(int(9 * eps0 * n / 10) + 1, n), (1, tenth - 1)],
-        [(0, n), (max(1, tenth), n)],
-    )
     results = []
-    for idx, (prop, ranges) in enumerate(zip(_properties(n, k, eps0, gamma), draw_ranges)):
+    for idx, prop in enumerate(_properties(n, k, eps0, gamma)):
         rng = make_rng(spawn_seed(seed, "audit", idx))
 
         # a one-set property's one part is Y: nx is 0 and its margin reads no X
@@ -711,10 +719,9 @@ def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResul
         checked = viol = 0
         worst = witness = None
         for _ in range(draws):
-            sizes = [int(rng.integers(lo, hi + 1)) if hi >= lo else -1
-                     for lo, hi in ranges]
-            if (min(sizes) < 0 or sum(sizes) > n
-                    or not prop.eligible(*(0, *sizes)[-2:])):
+            sizes = [int(rng.integers(lo, hi + 1)) if hi >= lo else lo - 1
+                     for lo, hi in prop.ranges]
+            if sum(sizes) > n or not prop.eligible(*(0, *sizes)[-2:]):
                 continue
             perm, state = rng.permutation(n), []
             for s in sizes:
@@ -743,16 +750,7 @@ def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResul
                 witness = tuple(
                     tuple(int(i) for i in np.flatnonzero(s)) for s in state
                 )
-        results.append(
-            PropertyResult(
-                name=prop.name,
-                mode="sampled" if checked else "vacuous",
-                checked=checked,
-                violations=viol,
-                worst_margin=None if worst is None else float(worst),
-                witness=witness,
-            )
-        )
+        results.append(_result(prop.name, "sampled", checked, viol, worst, witness))
     return results
 
 
