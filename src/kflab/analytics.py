@@ -228,6 +228,7 @@ def core_law(c: float, k: int, i_max: int) -> CoreLaw:
     k = _integer(k, 3, "k")
     c_k, x_k = c_k_threshold(k)
     i_max = _integer(i_max, k, "i_max")
+    c = _real(c, "c")
     x = x_of_c(c, k)
     zeta = poisson_tail(x, k)
     lam = tuple(poisson_pmf(x, i) for i in range(k, i_max + 1))

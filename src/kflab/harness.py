@@ -374,7 +374,7 @@ def law_report(k: int, c: float | None = None, i_max: int | None = None) -> dict
         hi = i_max if i_max is not None else k + 10
         law = core_law(c, k, hi)
         out["at_c"] = {
-            "c": c,
+            "c": law.c,
             "x": law.x,
             "zeta": law.zeta,
             "lam": list(law.lam),

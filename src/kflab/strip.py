@@ -429,6 +429,7 @@ def verify_K(K: Graph, k: int, ambient_n: int | None = None) -> KReport:
     n/3 when the ambient n is supplied (None otherwise).  K4: k|K| even.
     Degrees count multiplicity, and loops twice.
     """
+    k = _integer(k, 1, "k")
     if ambient_n is not None:
         ambient_n = _integer(ambient_n, K.n, "ambient_n")
     deg = K.degrees
@@ -446,6 +447,7 @@ def enforce_parity(result: StripResult, k: int) -> StripResult:
     The vertex chosen is the least-id one with degree > k all of whose
     neighbors also have degree > k; removing it keeps every degree >= k.
     """
+    k = _integer(k, 1, "k")
     if (k * result.K.n) % 2 == 0:
         return replace(result, k4_action="none", k4_vertex=None)
     deg = result.K.degrees

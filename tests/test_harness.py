@@ -525,5 +525,9 @@ def test_law_report_shape():
     # a string density once raised a bare TypeError inside x_of_c
     with pytest.raises(DomainError):
         law_report(k, c="7")
+    # a numpy c was once stored as given, and json.dumps raised TypeError
+    law = core_law(np.float32(7.5), 5, 9)
+    assert type(law.c) is float and law == core_law(7.5, 5, 9)
+    assert json.dumps(law_report(5, c=np.float32(7.5))) == json.dumps(law_report(5, c=7.5))
     with pytest.raises(DomainError):
         elbr_report(gen_gnp(50, 8.0, 0), k, c="7")

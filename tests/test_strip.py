@@ -519,6 +519,11 @@ def test_verify_k_reports():
     for bad in ("x", 2.5, 3, -1):
         with pytest.raises(DomainError):
             verify_K(k4graph, 3, ambient_n=bad)
+    # k = 2.5 once tested degrees against [2.5, 5]; '3' raised UFuncTypeError
+    for bad in (2.5, "3"):
+        with pytest.raises(DomainError):
+            verify_K(k4graph, bad)
+    assert verify_K(k4graph, 3.0) == verify_K(k4graph, 3)
 
 
 def test_enforce_parity_none_when_even():
@@ -530,6 +535,9 @@ def test_enforce_parity_none_when_even():
 def test_enforce_parity_deletes_from_k5():
     res = run_strip(K5, 3, beta_override=1.0)
     assert res.K.n == 5  # 3 * 5 = 15 odd
+    # k = 3.5 once read 3.5 * 5 = 17.5 as odd and deleted a vertex
+    with pytest.raises(DomainError):
+        enforce_parity(res, 3.5)
     out = enforce_parity(res, 3)
     assert out.k4_action == "deleted"
     assert out.k4_vertex == 0
