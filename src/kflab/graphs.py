@@ -92,11 +92,10 @@ class Graph:
 
     def __init__(self, n: int, edges, *, _canonical: bool = False,
                  mult=None, loops=None):
-        """Simple graph from distinct non-loop pairs, canonicalized by
-        from_pairs.  With _canonical the pairs are trusted to be in
-        canonical order already, and mult and loops may give a multigraph's
-        multiplicities (one per row) and loop counts (one per vertex);
-        Graph.from_pairs is the public way to them."""
+        """Simple graph from distinct non-loop pairs.  With _canonical the
+        pairs are trusted to be in canonical order already, and mult and
+        loops may give a multigraph's multiplicities (one per row) and loop
+        counts (one per vertex); Graph.from_pairs is the public way to them."""
         if not _canonical:
             if mult is not None or loops is not None:
                 raise DomainError("mult and loops need _canonical; use from_pairs")

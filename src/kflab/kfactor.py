@@ -25,11 +25,10 @@ both routes to a verdict:
 
 audit_properties measures the expansion-style properties P1-P6 that a
 stripped remainder is expected to satisfy, always reported as margins
-rather than asserted.  Each property's part-size ranges, margin and
-violation rule are written once, in one table that both audits apply: up
-to 12 vertices to every subset pair at once, as array arithmetic over
-vertex bitmasks; beyond that to a randomized search that draws sizes from
-those ranges, with greedy worsening.
+rather than asserted.  Each property's size test, margin and violation
+rule is written once, in one table that both audits apply: up to 12
+vertices to every subset pair at once, as array arithmetic over vertex
+bitmasks; beyond that to a randomized search with greedy worsening.
 """
 
 import json
@@ -552,12 +551,11 @@ class _Property:
     joint: Callable | None = None  # (nx, ny) -> the size test ranges cannot state
 
     def eligible(self, nx, ny):
-        """The size test: each part in its range, then the joint test.  A
-        one-set property reads only ny."""
-        ok = True
+        """The size test: the joint one, and each part in its range."""
+        ok = True if self.joint is None else self.joint(nx, ny)
         for (lo, hi), size in zip(self.ranges[::-1], (ny, nx)):
             ok = ok & (lo <= size) & (size <= hi)
-        return ok if self.joint is None else ok & self.joint(nx, ny)
+        return ok
 
 
 def _nonpositive(m):
@@ -719,6 +717,7 @@ def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResul
         checked = viol = 0
         worst = witness = None
         for _ in range(draws):
+            # an empty range gives lo - 1, which eligible rejects
             sizes = [int(rng.integers(lo, hi + 1)) if hi >= lo else lo - 1
                      for lo, hi in prop.ranges]
             if sum(sizes) > n or not prop.eligible(*(0, *sizes)[-2:]):
