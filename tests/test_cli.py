@@ -9,8 +9,9 @@ import re
 
 import pytest
 
+from kflab import cli
 from kflab.cli import build_parser, main
-from kflab.errors import DomainError
+from kflab.errors import DomainError, InfeasibleError, KflabError
 from kflab.graphs import parse_edge_text
 from kflab.harness import ScanConfig, scan
 from kflab.kfactor import verify_k_factor
@@ -103,6 +104,18 @@ def test_factor_infeasible_exit_code(capsys, graph_file, tmp_path):
     code, out, _ = run(capsys, "factor", str(core_path), "--k", "3")
     assert code == 3
     assert json.loads(out) == {"found": False, "k": 3}
+
+
+def test_infeasible_and_internal_errors_exit_3_and_1(capsys, graph_file,
+                                                    monkeypatch):
+    for error, code, prefix in ((InfeasibleError, 3, "infeasible:"),
+                                (KflabError, 1, "error:")):
+        def fail(g, k, error=error):
+            raise error("stubbed")
+
+        monkeypatch.setattr(cli, "find_k_factor", fail)
+        got, out, err = run(capsys, "factor", str(graph_file), "--k", "2")
+        assert (got, out, err) == (code, "", f"{prefix} stubbed\n"), error
 
 
 # sha256 of the full stdout of each command on the 3-core of the fixture

@@ -503,6 +503,14 @@ def test_elbr_matches_analytic_prediction():
     assert abs(rep["ratio"] - rep["g_x"]) < 0.05
 
 
+def test_elbr_has_no_alpha_below_k3():
+    # threshold_params needs k >= 3, so the reference line is absent
+    c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    rep = elbr_report(c5, 2)
+    assert rep["one_minus_alpha"] is None
+    assert (rep["core_size"], rep["w0_size"], rep["ratio"]) == (5, 5, 1.0)
+
+
 def test_law_report_shape():
     k = 5
     c_k, x_k = c_k_threshold(k)

@@ -1,5 +1,6 @@
 """Peeling tests: hand cores, order invariance, and the structure audit."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -223,6 +224,53 @@ def test_audit_house_graph_hand_counts():
     assert by["h"].measured == 0
     parsed = json.loads(rep.to_json())
     assert [p["label"] for p in parsed] == list("abcdefgh")
+
+
+def _cycle(length: int) -> list:
+    return [(i, (i + 1) % length) for i in range(length)]
+
+
+def _hub_with_triangles() -> list:
+    # K4 on 0-3; 1, 2 and 3 each close a triangle through two degree-2
+    # vertices, so vertex 0 is the one R vertex with no W0 neighbor
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    for j, v in enumerate((1, 2, 3)):
+        a, b = 4 + 2 * j, 5 + 2 * j
+        pairs += [(v, a), (a, b), (b, v)]
+    return pairs
+
+
+# (name, n, core pairs, part on its bound, every part's ok), k = 2; each
+# core is padded with isolated vertices up to n, and each bound is an
+# exact float: 0.99 n = 99, 0.99 n/k = 99, 1.01 n/k = 101, n/(5k) = 10,
+# n/2 = 50, kn/3 = 80 and n/200 = 1.  a and b are strict, the rest not.
+LW0_BOUNDARY_CASES = [
+    ("a", 100, _cycle(99), "a", "FFTTFFFF"),
+    ("b-low", 200, _cycle(99), "b", "FFTTFFTF"),
+    ("b-high", 200, _cycle(101), "b", "FFTTFFTF"),
+    ("d", 100, _cycle(10), "d", "FFTTFFTF"),
+    ("e", 100, [(r, 2 + i) for r in (0, 1) for i in range(25)], "e",
+     "FFTFTFTF"),
+    ("f", 120, [(i, (i + s) % 40) for i in range(40) for s in (1, 2)], "f",
+     "FFTFFTTT"),
+    ("h", 200, _hub_with_triangles(), "h", "FFTFFFTT"),
+]
+# sha256 over the seven reports' to_json, in the order above
+LW0_BOUNDARY_DIGEST = (
+    "9e4873e101a90e70c3e6135c076829ae1c11ff8586436119873fd8f725c3e860"
+)
+
+
+def test_audit_parts_on_their_bounds():
+    h = hashlib.sha256()
+    for name, n, pairs, label, oks in LW0_BOUNDARY_CASES:
+        rep = audit_lw0(k_core(Graph.from_pairs(n, pairs), 2), 2)
+        part = rep.part(label)
+        assert part.measured in (part.lower, part.upper), name
+        assert "".join("FT"[p.ok] for p in rep.parts) == oks, name
+        assert all(type(p.ok) is bool for p in rep.parts), name
+        h.update(rep.to_json().encode())
+    assert h.hexdigest() == LW0_BOUNDARY_DIGEST
 
 
 def test_audit_tracks_core_law_at_moderate_scale():

@@ -613,6 +613,9 @@ def test_factor_leaves_loops_out():
 def test_factor_k_guard():
     with pytest.raises(DomainError):
         find_k_factor(C4, 0)
+    # a host that is not a Graph
+    with pytest.raises(DomainError):
+        find_k_factor("x", 2)
 
 
 def test_k_must_be_an_integer():

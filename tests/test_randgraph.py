@@ -264,6 +264,9 @@ def test_configuration_validate_rejects_broken_pairings():
     bad = Configuration(degrees=np.array([1, 1]), mate=np.array([5, 0]))
     with pytest.raises(DomainError):
         bad.validate()  # names a copy that does not exist
+    bad = Configuration(degrees=np.array([1]), mate=np.array([0]))
+    with pytest.raises(ParityError):
+        bad.validate()  # one copy cannot be paired
 
 
 def test_sampling_rejects_non_integral_degrees():
@@ -640,6 +643,26 @@ def test_sample_from_rw_infeasible_inputs():
                 classes=(W0, W1),
                 splits=((0, 1), (1, 0, 0)),
                 w1_pairs=((0, 1),),
+            ),
+            0,
+        )
+    with pytest.raises(InfeasibleError):
+        # the splits give two copies, so copy 5 does not exist
+        sample_from_rw(
+            RWInfo(
+                classes=(W1, W1),
+                splits=((0, 1, 0), (0, 1, 0)),
+                w1_pairs=((0, 5),),
+            ),
+            0,
+        )
+    with pytest.raises(InfeasibleError):
+        # copy 0 is pinned to both 2 and 3
+        sample_from_rw(
+            RWInfo(
+                classes=(W1, W1),
+                splits=((0, 2, 0), (0, 2, 0)),
+                w1_pairs=((0, 2), (0, 3)),
             ),
             0,
         )

@@ -131,6 +131,28 @@ def test_step_on_empty_queue_is_a_no_op_row():
     assert (st_.iteration, list(st_.trace_rows), bytes(st_.alive)) == before
 
 
+def test_step_after_a_run_repeats_the_last_row_as_a_no_op():
+    # only a step changes the state and every step logs a row, so the
+    # no-op row is the last logged row with deleted = -1 and no enqueues
+    stepped = set()
+    for seed in range(30):
+        k = 2 + seed % 3
+        host = random_core(seed, k)
+        if seed % 2:
+            degs = np.random.default_rng(seed).integers(k, 2 * k + 3, size=12)
+            degs[0] += degs.sum() % 2
+            host = to_multigraph(sample_configuration(degs, seed))
+        st_ = StripState(host, k, beta_override=1.0)
+        while not st_.q_empty:
+            strip_step(st_)
+        rows = list(st_.trace_rows)
+        assert strip_step(st_) == rows[-1]._replace(deleted=-1, enqueued=0)
+        assert st_.trace_rows == rows
+        if st_.iteration:
+            stepped.add("multigraph" if seed % 2 else "simple")
+    assert stepped == {"simple", "multigraph"}
+
+
 def test_zero_degree_deletion_leaves_x_unchanged():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     res = run_strip(star, 1, beta_override=1.0, debug=True)
@@ -148,6 +170,9 @@ def test_rejects_degree_below_k():
         StripState(Graph(3, [(0, 1), (1, 2)]), 2)
     with pytest.raises(DomainError):
         run_strip(HOUSE, 0)
+    # a host that is not a Graph
+    with pytest.raises(DomainError):
+        StripState("x", 3)
 
 
 def test_k_must_be_an_integer():
