@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,9 @@ def audit_lw0(result: CoreResult, k: int) -> Lw0Report:
     """Measure the eight pre-deletion structure quantities against their
     large-k reference bounds (fractions of the ambient vertex count).
 
-    W0 is the set of core vertices of degree exactly k, R the rest.
+    W0 is the set of core vertices of degree exactly k, R the rest.  Each
+    part's ok tests its measured value against the lower and upper bounds
+    it reports: strictly for a and b, inclusively for c-h.
     """
     k = _integer(k, 1, "k")
     core = result.core
@@ -120,44 +123,32 @@ def audit_lw0(result: CoreResult, k: int) -> Lw0Report:
     crowded = int(np.sum((deg <= 2 * k) & (2 * w0_nbrs >= k)))
     lonely_r = int(np.sum(~w0 & (w0_nbrs == 0)))
 
+    def part(label, description, measured, lower=None, upper=None, strict=False):
+        x = float(measured)
+        below = operator.lt if strict else operator.le
+        ok = (lower is None or below(lower, x)) and (upper is None or below(x, upper))
+        return Lw0Part(label, description, x, lower, upper, ok)
+
     parts = (
-        Lw0Part(
-            "a", "core size vs 0.99 n",
-            float(core.n), 0.99 * n, None, core.n > 0.99 * n,
-        ),
-        Lw0Part(
+        part("a", "core size vs 0.99 n", core.n, lower=0.99 * n, strict=True),
+        part(
             "b", "|W0| inside (0.99 n/k, 1.01 n/k)",
-            float(np.sum(w0)), 0.99 * n / k, 1.01 * n / k,
-            bool(0.99 * n / k < np.sum(w0) < 1.01 * n / k),
+            np.sum(w0), 0.99 * n / k, 1.01 * n / k, strict=True,
         ),
-        Lw0Part(
+        part(
             "c", "total degree of vertices of degree > 2k vs e^(-k/6) n",
-            float(heavy_total_degree), None, math.exp(-k / 6) * n,
-            heavy_total_degree <= math.exp(-k / 6) * n,
+            heavy_total_degree, upper=math.exp(-k / 6) * n,
         ),
-        Lw0Part(
-            "d", "edges inside W0 vs n/(5k)",
-            float(e_w0w0), n / (5 * k), None, e_w0w0 >= n / (5 * k),
-        ),
-        Lw0Part(
-            "e", "edges between W0 and R vs n/2",
-            float(e_w0r), n / 2, None, e_w0r >= n / 2,
-        ),
-        Lw0Part(
-            "f", "edges inside R vs kn/3",
-            float(e_rr), k * n / 3, None, e_rr >= k * n / 3,
-        ),
-        Lw0Part(
+        part("d", "edges inside W0 vs n/(5k)", e_w0w0, lower=n / (5 * k)),
+        part("e", "edges between W0 and R vs n/2", e_w0r, lower=n / 2),
+        part("f", "edges inside R vs kn/3", e_rr, lower=k * n / 3),
+        part(
             "g",
             "vertices of degree <= 2k with >= k/2 neighbors in W0 "
             "vs e^(-k/3) n",
-            float(crowded), None, math.exp(-k / 3) * n,
-            crowded <= math.exp(-k / 3) * n,
+            crowded, upper=math.exp(-k / 3) * n,
         ),
-        Lw0Part(
-            "h", "R vertices with no W0 neighbor vs n/200",
-            float(lonely_r), n / 200, None, lonely_r >= n / 200,
-        ),
+        part("h", "R vertices with no W0 neighbor vs n/200", lonely_r, lower=n / 200),
     )
     return Lw0Report(parts=parts)
 

@@ -163,6 +163,10 @@ class StripState:
     are memoryviews of the host's cached csr() arrays, not copies; on a
     simple host nmult views a single 1 repeated.  numpy is used only to
     build the state, in _finalize and in check_state_invariants.
+
+    __init__ logs trace row 0 and each strip_step its own row: |Q| is the
+    heap's length (a vertex leaves it only by deletion), and |R| is
+    n - iteration - |W0| - |W1|, as each iteration deletes one vertex.
     """
 
     def __init__(
@@ -213,7 +217,6 @@ class StripState:
         self.D = int((deg - deg_w0)[q].sum())
         self.n_w0 = int(w0.sum())
         self.n_w1 = 0
-        self.n_r = n - self.n_w0
 
         self.deg = deg.tolist()
         self.deg_w0 = deg_w0.tolist()
@@ -222,8 +225,10 @@ class StripState:
         self.w1n = [0] * n
         self.in_q = bytearray(q.tobytes())
         self.iteration = 0
-        self.trace_rows: list[TraceRow] = []
-        self.trace_rows.append(self._row(deleted=-1, enqueued=len(self.heap)))
+        x = self.A + k * self.B + self.k7b * self.D
+        self.trace_rows = [TraceRow(0, -1, len(self.heap), self.n_w0, 0,
+                                    n - self.n_w0, self.A, self.B, self.D, x,
+                                    len(self.heap))]
 
     # ------------------------------------------------------------- internals
 
@@ -234,13 +239,6 @@ class StripState:
         return [
             (u, m) for u, m in zip(self.nbr[a:b], self.nmult[a:b]) if alive[u]
         ]
-
-    def _row(self, deleted: int, enqueued: int) -> TraceRow:
-        # queued vertices leave the heap only when deleted, so the heap
-        # length is exactly |Q|
-        x = self.A + self.k * self.B + self.k7b * self.D
-        return TraceRow(self.iteration, deleted, len(self.heap), self.n_w0,
-                        self.n_w1, self.n_r, self.A, self.B, self.D, x, enqueued)
 
     @property
     def q_empty(self) -> bool:
@@ -259,14 +257,15 @@ def strip_step(state: StripState) -> TraceRow:
         check_state_invariants(s)
     heap = s.heap
     if not heap:
-        return s._row(deleted=-1, enqueued=0)
+        # only a step changes the state, and each step logs its row
+        return s.trace_rows[-1]._replace(deleted=-1, enqueued=0)
     v = heapq.heappop(heap)
     s.iteration += 1
     k, xadj, nbr, nmult = s.k, s.xadj, s.nbr, s.nmult
     deg, deg_w0, class_of = s.deg, s.deg_w0, s.class_of
     alive, in_q, w1n = s.alive, s.in_q, s.w1n
     A, B, D = s.A, s.B, s.D
-    n_w0, n_w1, n_r = s.n_w0, s.n_w1, s.n_r
+    n_w0, n_w1 = s.n_w0, s.n_w1
 
     # 2a: remove v from the graph and the queue, with its potential share
     v_cls = class_of[v]
@@ -278,8 +277,6 @@ def strip_step(state: StripState) -> TraceRow:
         B -= deg_w0[v]
         if v_cls == W1:
             n_w1 -= 1
-        else:
-            n_r -= 1
     D -= deg[v] - deg_w0[v]
 
     # flag(w) is the step's one enqueue; each caller has checked that w is
@@ -324,7 +321,6 @@ def strip_step(state: StripState) -> TraceRow:
             for z in u_neighbors:
                 w1n[z] += 1
             moved.append((u, u_neighbors))
-    n_r -= len(moved)
     n_w1 += len(moved)
 
     # 2c phase 1: D5 on movers and D4/D5 around them, reading the post-move
@@ -358,7 +354,7 @@ def strip_step(state: StripState) -> TraceRow:
                     flag(w)
 
     s.A, s.B, s.D = A, B, D
-    s.n_w0, s.n_w1, s.n_r = n_w0, n_w1, n_r
+    s.n_w0, s.n_w1 = n_w0, n_w1
     enqueued = len(flagged)
     if s.debug:
         assert enqueued <= 4 * k * k, (
@@ -370,7 +366,8 @@ def strip_step(state: StripState) -> TraceRow:
         for _, u_neighbors in moved:
             touched.extend(u_neighbors)
         _check_closure(s, set(touched))
-    row = TraceRow(s.iteration, v, len(heap), n_w0, n_w1, n_r, A, B, D,
+    row = TraceRow(s.iteration, v, len(heap), n_w0, n_w1,
+                   s.n - s.iteration - n_w0 - n_w1, A, B, D,
                    A + k * B + s.k7b * D, enqueued)
     s.trace_rows.append(row)
     return row
@@ -499,7 +496,7 @@ def check_state_invariants(state: StripState) -> None:
     assert np.all((cls[live] == R) == (deg[live] > s.k)), "R must be exactly degree > k"
     assert s.n_w0 == int(np.sum(live & (cls == W0)))
     assert s.n_w1 == int(np.sum(live & (cls == W1)))
-    assert s.n_r == int(np.sum(live & (cls == R)))
+    assert s.n - s.iteration - s.n_w0 - s.n_w1 == int(np.sum(live & (cls == R)))
 
     q = live & np.frombuffer(s.in_q, dtype=bool)
     A = int(np.sum(deg_w0[q & (cls == W0)]))
