@@ -61,6 +61,16 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _graph(value, what: str, *, simple: bool = False) -> Graph:
+    """value itself; DomainError unless it is a Graph, and with simple set
+    a Graph without parallel edges or loops."""
+    if not isinstance(value, Graph):
+        raise DomainError(f"{what} must be a Graph, got {type(value).__name__}")
+    if simple and not value.is_simple():
+        raise DomainError(f"{what} must be a simple Graph: no parallel edges or loops")
+    return value
+
+
 def _int_pairs(values, what: str) -> np.ndarray:
     """values as a (p, 2) int64 array; DomainError if they are not integer pairs."""
     arr = _int64(values, what)

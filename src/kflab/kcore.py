@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .graphs import Graph, _integer
+from .graphs import Graph, _graph, _integer
 
 __all__ = [
     "CoreResult",
@@ -45,8 +44,7 @@ class CoreResult:
 def k_core(g: Graph, k: int) -> CoreResult:
     """Peel to the maximal induced subgraph with minimum degree >= k."""
     k = _integer(k, 1, "k")
-    if not isinstance(g, Graph) or not g.is_simple():
-        raise DomainError("k_core peels simple Graphs only")
+    _graph(g, "g", simple=True)
     deg = g.degrees.copy()
     alive = np.ones(g.n, dtype=bool)
     frontier = np.flatnonzero(deg < k)

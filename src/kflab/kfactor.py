@@ -41,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, KflabError
-from .graphs import Graph, _int64, _integer, _real
+from .graphs import Graph, _graph, _int64, _integer, _real
 from .matching import maximum_matching, perfect_matching_exists
 from .rng import _seed, make_rng, spawn_seed
 
@@ -146,12 +146,6 @@ def _subset_tables(g: Graph):
             (into > 0) @ (1 << np.arange(n)))
 
 
-def _require_simple(g) -> Graph:
-    if not isinstance(g, Graph) or not g.is_simple():
-        raise DomainError("expected a simple Graph, without parallel edges or loops")
-    return g
-
-
 def tutte_check(g: Graph, k: int, S, T) -> TutteWitness:
     """Evaluate the factor inequality for one (S, T) pair.
 
@@ -160,7 +154,7 @@ def tutte_check(g: Graph, k: int, S, T) -> TutteWitness:
     q + e(S, T), q counting the components Q of g minus (S u T) with k|Q|
     and e(Q, T) of different parity.
     """
-    _require_simple(g)
+    _graph(g, "g", simple=True)
     k = _integer(k, 1, "k")
     s, t = _check_sets(g, S, T)
     t_nbrs = g.neighbors_in(_mask(g, t))
@@ -210,7 +204,7 @@ def brute_force_tutte(g: Graph, k: int, restrict_m1m2: bool = False):
     the existence verdict is unchanged.  That soundness argument assumes
     minimum degree >= k, so g must have it.
     """
-    _require_simple(g)
+    _graph(g, "g", simple=True)
     k = _integer(k, 1, "k")
     n = g.n
     if n > BRUTE_FORCE_CAP:
@@ -302,8 +296,7 @@ class GadgetReduction:
 def _host_instances(g) -> np.ndarray:
     """g's edge rows repeated by multiplicity, loops left out (a loop adds
     2 to one vertex, so no k-factor uses one): an (m, 2) canonical array."""
-    if not isinstance(g, Graph):
-        raise DomainError(f"expected a Graph, got {type(g).__name__}")
+    _graph(g, "g")
     return g.edge_array if g.mult is None else np.repeat(g.edge_array, g.mult, axis=0)
 
 
@@ -771,7 +764,7 @@ def audit_properties(
     Margins are slack against each property's bound: negative (or zero,
     for strict bounds) means violated.
     """
-    _require_simple(K)
+    _graph(K, "K", simple=True)
     k = _integer(k, 1, "k")
     epsilon0, gamma = _real(epsilon0, "epsilon0"), _real(gamma, "gamma")
     if not 0 < epsilon0 <= 1 or not 0 < gamma <= 1:

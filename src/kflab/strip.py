@@ -45,7 +45,7 @@ import numpy as np
 
 from .analytics import default_beta
 from .errors import DomainError
-from .graphs import Graph, _integer, _real
+from .graphs import Graph, _graph, _integer, _real
 from .randgraph import R, W0, W1
 
 __all__ = [
@@ -149,6 +149,8 @@ def strip_cap(
         beta = _real(beta_override, "beta_override")
     if not 0 < beta < math.inf:
         raise DomainError(f"beta must be positive and finite, got {beta}")
+    if not beta * n < math.inf:
+        raise DomainError(f"beta * n must be finite, got {beta} * {n}")
     return beta, int(math.ceil(beta * n))
 
 
@@ -178,8 +180,7 @@ class StripState:
         debug: bool = False,
     ):
         k = _integer(k, 1, "k")
-        if not isinstance(core, Graph):
-            raise DomainError(f"core must be a Graph, got {type(core)!r}")
+        _graph(core, "core")
         n = core.n
         deg = core.degrees
         if n and int(deg.min()) < k:
@@ -426,6 +427,7 @@ def verify_K(K: Graph, k: int, ambient_n: int | None = None) -> KReport:
     n/3 when the ambient n is supplied (None otherwise).  K4: k|K| even.
     Degrees count multiplicity, and loops twice.
     """
+    _graph(K, "K")
     k = _integer(k, 1, "k")
     if ambient_n is not None:
         ambient_n = _integer(ambient_n, K.n, "ambient_n")
@@ -444,6 +446,8 @@ def enforce_parity(result: StripResult, k: int) -> StripResult:
     The vertex chosen is the least-id one with degree > k all of whose
     neighbors also have degree > k; removing it keeps every degree >= k.
     """
+    if not isinstance(result, StripResult):
+        raise DomainError(f"result must be a StripResult, got {type(result).__name__}")
     k = _integer(k, 1, "k")
     if (k * result.K.n) % 2 == 0:
         return replace(result, k4_action="none", k4_vertex=None)

@@ -70,7 +70,9 @@ def test_strip_prints_summary(capsys, graph_file, tmp_path):
 def test_strip_bad_cap_and_beta_are_input_errors(capsys, graph_file, tmp_path):
     core_path = tmp_path / "core.txt"
     run(capsys, "core", str(graph_file), "--k", "3", "--out", str(core_path))
-    for flag in ("--beta-override=nan", "--beta-override=inf"):
+    # 1e308 is finite, but its cap beta * n is not
+    for flag in ("--beta-override=nan", "--beta-override=inf",
+                 "--beta-override=1e308"):
         code, out, err = run(capsys, "strip", str(core_path), "--k", "3", flag)
         assert code == 2 and out == "" and "error:" in err, flag
 
@@ -212,7 +214,8 @@ def test_scan_bad_density_and_cap_are_input_errors(capsys):
     args = ("scan", "--n", "50", "--k", "3", "--c-from", "4", "--steps", "2",
             "--trials", "1")
     for extra in (("--c-to", "inf"),
-                  ("--c-to", "5", "--beta-override", "nan")):
+                  ("--c-to", "5", "--beta-override", "nan"),
+                  ("--c-to", "5", "--beta-override", "1e308")):
         code, out, err = run(capsys, *args, *extra)
         assert code == 2 and out == "" and "error:" in err, extra
 

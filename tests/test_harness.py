@@ -396,6 +396,9 @@ def test_scan_validation():
             scan(ScanConfig(**{**base, field: value}))
     with pytest.raises(DomainError, match="beta"):
         strip_cap(3, 50, beta_override="0.1")
+    # a finite beta whose cap beta * n is not: once a bare OverflowError
+    with pytest.raises(DomainError, match="beta"):
+        strip_cap(5, 50000, 1e308)
     # a numpy beta runs as a float, so the summary stays JSON-safe
     _, summary = scan(ScanConfig(**{**base, "beta_override": np.float32(0.5)}))
     assert json.dumps(summary) == json.dumps(

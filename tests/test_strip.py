@@ -549,6 +549,10 @@ def test_verify_k_reports():
         with pytest.raises(DomainError):
             verify_K(k4graph, bad)
     assert verify_K(k4graph, 3.0) == verify_K(k4graph, 3)
+    # K must be a Graph: each once raised a bare AttributeError
+    for bad in (None, "abc"):
+        with pytest.raises(DomainError):
+            verify_K(bad, 3)
 
 
 def test_enforce_parity_none_when_even():
@@ -563,6 +567,9 @@ def test_enforce_parity_deletes_from_k5():
     # k = 3.5 once read 3.5 * 5 = 17.5 as odd and deleted a vertex
     with pytest.raises(DomainError):
         enforce_parity(res, 3.5)
+    # None once raised a bare AttributeError
+    with pytest.raises(DomainError):
+        enforce_parity(None, 3)
     out = enforce_parity(res, 3)
     assert out.k4_action == "deleted"
     assert out.k4_vertex == 0
