@@ -168,7 +168,7 @@ class StripState:
 
     __init__ logs trace row 0 and each strip_step its own row: |Q| is the
     heap's length (a vertex leaves it only by deletion), and |R| is
-    n - iteration - |W0| - |W1|, as each iteration deletes one vertex.
+    |core| - iteration - |W0| - |W1|, as each iteration deletes one vertex.
     """
 
     def __init__(
