@@ -27,11 +27,11 @@ and keeps the per-vertex state in Python lists and bytearrays (layout in
 StripState); numpy seeds the D1/D2 queue and its potential in one masked
 pass, and serves _finalize and the from-scratch checker.
 
-Debug runs assert the three queue-closure properties (a W1 vertex, and a
-queued R vertex, has no unqueued W1 neighbor; an unqueued R vertex has at
-most one W1 neighbor) after every deletion, recomputed from scratch on
-each live vertex whose closure the deletion could have broken.  They hold
-trivially after init, where W1 is empty.
+Debug runs assert D3 closure and the three queue-closure properties (a
+W1 vertex, and a queued R vertex, has no unqueued W1 neighbor; an
+unqueued R vertex has at most one W1 neighbor) after every deletion,
+recomputed from scratch on each live vertex whose closure the deletion
+could have broken.  They hold after init, where D3 and W1 are empty.
 """
 
 from __future__ import annotations
@@ -514,13 +514,20 @@ def check_state_invariants(state: StripState) -> None:
 
 
 def _check_closure(state: StripState, vertices) -> None:
-    """Assert the three queue-closure properties at each live vertex given,
-    from its current neighborhood."""
+    """Assert D3 closure (a vertex of degree < k is queued) and the three
+    queue-closure properties at each live vertex given, from its current
+    neighborhood."""
     s = state
+    loops = s.core.loops
     for v in vertices:
-        if not s.alive[v] or s.class_of[v] == W0:
+        if not s.alive[v]:
             continue
-        w1 = [u for u, _ in s._live_neighbors(v) if s.class_of[u] == W1]
+        nbrs = s._live_neighbors(v)
+        deg = sum(m for _, m in nbrs) + (0 if loops is None else 2 * int(loops[v]))
+        assert s.in_q[v] or deg >= s.k, f"unqueued vertex {v} has degree below k"
+        if s.class_of[v] == W0:
+            continue
+        w1 = [u for u, _ in nbrs if s.class_of[u] == W1]
         unqueued = sum(1 for u in w1 if not s.in_q[u])
         if s.class_of[v] == W1:
             assert unqueued == 0, f"W1 vertex {v} keeps an unqueued W1 neighbor"

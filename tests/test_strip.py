@@ -262,6 +262,27 @@ def test_debug_step_catches_broken_closure():
         strip_step(state)
 
 
+def test_debug_step_catches_unqueued_low_degree_vertex():
+    # a W0 neighbor y of the next deletion v, unqueued at degree k, falls
+    # to k - 1; inflating its tracked degree hides that from D3, and the
+    # closure check, which recounts degrees from scratch, must catch it
+    core = k_core(gen_gnp(3000, 5.0, 1), 3).core
+    assert core.n > 2000
+    state = StripState(core, 3, beta_override=1.0, debug=True)
+    while True:
+        strip_step(state)
+        v = state.heap[0]
+        y = next((u for u, _ in state._live_neighbors(v)
+                  if state.class_of[u] == W0 and not state.in_q[u]), None)
+        # the full recomputation at every 200th step would catch it first
+        if y is not None and state.iteration % 200:
+            break
+    assert state.deg[y] == 3
+    state.deg[y] += 1
+    with pytest.raises(AssertionError, match="degree below k"):
+        strip_step(state)
+
+
 def test_queue_flags_are_sticky():
     core = random_core(7, 3)
     state = StripState(core, 3, beta_override=1.0)
@@ -423,6 +444,77 @@ def test_golden_strip_traces_with_debug():
         assert strip_digest(res) == GOLDEN_STRIP_DIGESTS[name], name
         ran += 1
     assert ran == 32
+
+
+def queue_set_digest(host, k, beta) -> str:
+    """sha256 over the queued set after each step of a run."""
+    state = StripState(host, k, beta_override=beta)
+    h = hashlib.sha256()
+    while not state.q_empty and state.iteration < state.cap:
+        strip_step(state)
+        queued = np.frombuffer(state.in_q, dtype=bool) & np.frombuffer(
+            state.alive, dtype=bool)
+        h.update(hashlib.sha256(np.flatnonzero(queued).tobytes()).digest())
+    return h.hexdigest()[:16]
+
+
+# simple k-cores of G(n, (c_k+0.5)/n) and configuration multigraphs on
+# their degree sequences, which carry parallel edges and loops
+QUEUE_SET_DIGESTS = {
+    "k3-n400-simple-b0.1": "b51c3ac1a44b4e4e",
+    "k3-n400-simple-b1.0": "1865ab2e2ce3bf67",
+    "k3-n400-multigraph-b0.1": "e2dac5fe7b24bde9",
+    "k3-n400-multigraph-b1.0": "c34787f68859768a",
+    "k3-n3000-simple-b0.1": "cc2a99464677b4f9",
+    "k3-n3000-simple-b1.0": "6d383663ea155303",
+    "k3-n3000-multigraph-b0.1": "a85945314560caea",
+    "k3-n3000-multigraph-b1.0": "03d34d6951bf2db0",
+    "k3-n20000-simple-b0.1": "d676e58e489099dc",
+    "k3-n20000-simple-b1.0": "9124727c2bb090e8",
+    "k3-n20000-multigraph-b0.1": "32541cee643539b6",
+    "k3-n20000-multigraph-b1.0": "4fcccce12c27657c",
+    "k5-n400-simple-b0.1": "043b5489585a9317",
+    "k5-n400-simple-b1.0": "6e569d3509763049",
+    "k5-n400-multigraph-b0.1": "a26393f40e55e8ae",
+    "k5-n400-multigraph-b1.0": "eff4a6d6775838f3",
+    "k5-n3000-simple-b0.1": "d61dcd3a87879e51",
+    "k5-n3000-simple-b1.0": "9ee16f68b1a260e8",
+    "k5-n3000-multigraph-b0.1": "c031e609c2f97f64",
+    "k5-n3000-multigraph-b1.0": "83a1d38f6b263b8f",
+    "k5-n20000-simple-b0.1": "cd90e46418f2ca38",
+    "k5-n20000-simple-b1.0": "ed21f0b5f27989d4",
+    "k5-n20000-multigraph-b0.1": "06786dbbc2c0aa19",
+    "k5-n20000-multigraph-b1.0": "eaf530f534394864",
+    "k8-n400-simple-b0.1": "608863be1820edcf",
+    "k8-n400-simple-b1.0": "ea522df4d8811bd2",
+    "k8-n400-multigraph-b0.1": "04087ec33f35192e",
+    "k8-n400-multigraph-b1.0": "b0e781985b4a763b",
+    "k8-n3000-simple-b0.1": "28b6c55d427c015b",
+    "k8-n3000-simple-b1.0": "fcc2f727a14be999",
+    "k8-n3000-multigraph-b0.1": "ed0e9a70fe03aab2",
+    "k8-n3000-multigraph-b1.0": "5c557285e6789cc7",
+    "k8-n20000-simple-b0.1": "fb2c64c7c7a40964",
+    "k8-n20000-simple-b1.0": "607c6b765918d6a4",
+    "k8-n20000-multigraph-b0.1": "905b5295e9a11f2d",
+    "k8-n20000-multigraph-b1.0": "c73ae9ee9415f7a8",
+}
+
+
+def test_queue_sets_per_step():
+    digests = {}
+    for k in (3, 5, 8):
+        for n in (400, 3000, 20000):
+            seed = spawn_seed(26, "queue", k, n)
+            core = k_core(gen_gnp(n, c_k_threshold(k)[0] + 0.5, seed), k).core
+            multi = to_multigraph(
+                sample_configuration(core.degrees, spawn_seed(seed, "config"))
+            )
+            assert multi.mult is not None and multi.loops is not None
+            for mode, host in (("simple", core), ("multigraph", multi)):
+                for beta in (0.1, 1.0):
+                    name = f"k{k}-n{n}-{mode}-b{beta}"
+                    digests[name] = queue_set_digest(host, k, beta)
+    assert digests == QUEUE_SET_DIGESTS
 
 
 # the 5-core of G(50000, (c_5+0.5)/n) with gen_gnp seed 1 or 2, and the
