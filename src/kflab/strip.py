@@ -8,13 +8,19 @@ decides queue membership:
   D2  not in W0 and at least k/2 initial neighbors in W0
   D3  current degree < k
   D4  in R with at least two distinct W1 neighbors
-  D5  in W1 with a neighbor that is W1, or R-and-flagged
+  D5  in W1 with a neighbor that is W1, or in R and queued
   D6  a vertex leaves Q only by deletion
 
-Each iteration deletes the least-id queued vertex, moves R neighbors whose
-degree fell to <= k into W1, and re-evaluates D3-D5 on the affected
-neighborhood (D5 after all moves of the iteration).  The trace logs the
-weighted queue potential X = A + k B + k^7 beta D per iteration.
+Each iteration deletes the least-id queued vertex v and then:
+  walk        update v's live neighbors, moving each R neighbor whose
+              degree fell to <= k into W1
+  candidates  v's live neighbors and the live neighbors of each mover,
+              the vertices whose rule inputs the walk changed
+  rule test   one D3-D5 test on each unqueued candidate; a vertex that
+              joins Q as R makes its unqueued W1 neighbors candidates
+The first clause of the test that holds names the rule that queued the
+vertex.  The trace logs the weighted queue potential X = A + k B +
+k^7 beta D per iteration.
 
 On a multigraph (a Graph with multiplicities and loops) a loop adds 2 to
 its vertex's degree and never makes a vertex its own neighbor; parallel
@@ -159,8 +165,8 @@ class StripState:
 
     The per-vertex counts are Python lists: deg and deg_w0 (edge ends,
     and those into W0), class_of and w1n (distinct live W1 neighbors).
-    alive and in_q are bytearrays; in_q is the one queue flag, set when a
-    rule first fires and cleared only by deletion.  The heap holds the
+    alive and in_q are bytearrays; in_q records queue membership, set when
+    a rule first fires and cleared only by deletion.  The heap holds the
     queued ids.  xadj, nbr (neighbor ids) and nmult (their multiplicities)
     are memoryviews of the host's cached csr() arrays, not copies; on a
     simple host nmult views a single 1 repeated.  numpy is used only to
@@ -268,7 +274,7 @@ def strip_step(state: StripState) -> TraceRow:
     A, B, D = s.A, s.B, s.D
     n_w0, n_w1 = s.n_w0, s.n_w1
 
-    # 2a: remove v from the graph and the queue, with its potential share
+    # remove v from the graph and the queue, with its potential share
     v_cls = class_of[v]
     alive[v] = in_q[v] = 0
     if v_cls == W0:
@@ -280,22 +286,18 @@ def strip_step(state: StripState) -> TraceRow:
             n_w1 -= 1
     D -= deg[v] - deg_w0[v]
 
-    # flag(w) is the step's one enqueue; each caller has checked that w is
-    # not yet in Q, and w joins Q (in_q) as it is found
-    flagged: list[int] = []
-
-    def flag(w: int) -> None:
-        in_q[w] = 1
-        flagged.append(w)
-
-    # one walk over v's live neighbors: their degrees and potential shares,
-    # then D3 on each
-    neighbors: list[int] = []
+    # one walk over v's live neighbors: their degrees and potential shares.
+    # v's row lists each neighbor once, so a degree is final once read, and
+    # an R neighbor whose degree fell to at most k moves to W1 at once,
+    # counting toward the W1-neighbor tally of its live neighbors.  The
+    # candidates are the vertices whose rule inputs this walk changed.
+    candidates: list[int] = []
+    queued_r_nbr = set()  # W1 vertices with a queued R neighbor (D5)
     a, b = xadj[v], xadj[v + 1]
     for u, m in zip(nbr[a:b], nmult[a:b]):
         if not alive[u]:
             continue
-        neighbors.append(u)
+        candidates.append(u)
         deg[u] -= m
         if v_cls == W0:
             deg_w0[u] -= m
@@ -308,65 +310,51 @@ def strip_step(state: StripState) -> TraceRow:
             D -= m
         if v_cls == W1:
             w1n[u] -= 1
-        if deg[u] < k and not in_q[u]:
-            flag(u)
-
-    # 2b: R neighbors whose degree fell to at most k move to W1, each with
-    # its live neighbor ids, read once
-    moved = []
-    for u in neighbors:
         if class_of[u] == R and deg[u] <= k:
             class_of[u] = W1
-            a, b = xadj[u], xadj[u + 1]
-            u_neighbors = [z for z in nbr[a:b] if alive[z]]
-            for z in u_neighbors:
-                w1n[z] += 1
-            moved.append((u, u_neighbors))
-    n_w1 += len(moved)
+            n_w1 += 1
+            for z in nbr[xadj[u]:xadj[u + 1]]:
+                if alive[z]:
+                    w1n[z] += 1
+                    candidates.append(z)
+                    # an R z that moves later in this walk is a W1
+                    # neighbor instead, so D5 holds for u either way
+                    if in_q[z] and class_of[z] == R:
+                        queued_r_nbr.add(u)
 
-    # 2c phase 1: D5 on movers and D4/D5 around them, reading the post-move
-    # state.  A mover may so see an R vertex that D4 flagged earlier in
-    # this loop; phase 2 would flag that mover from it anyway.
-    for u, u_neighbors in moved:
-        if not in_q[u] and (
-            w1n[u] >= 1 or any(class_of[z] == R and in_q[z] for z in u_neighbors)
-        ):
-            flag(u)
-        for z in u_neighbors:
-            cls = class_of[z]  # D5: a W1 z gained the W1 neighbor u; or D4
-            if (cls == W1 or (cls == R and w1n[z] >= 2)) and not in_q[z]:
-                flag(z)
-
-    # 2c phase 2: push each flagged vertex with its potential share; a
-    # flagged R vertex flags its W1 neighbors (D5), which this same loop
-    # then reaches at the end of the list
-    for z in flagged:
-        heapq.heappush(heap, z)
-        cls = class_of[z]
-        if cls == W0:
-            A += deg_w0[z]
-        else:
-            B += deg_w0[z]
-        D += deg[z] - deg_w0[z]
-        if cls == R:
-            a, b = xadj[z], xadj[z + 1]
-            for w in nbr[a:b]:
-                if alive[w] and class_of[w] == W1 and not in_q[w]:
-                    flag(w)
+    # the one rule test, D3-D5, on each unqueued candidate; a vertex
+    # joining Q as R makes its unqueued W1 neighbors candidates for D5,
+    # which this same loop reaches at the end of the list
+    enqueued = 0
+    for u in candidates:
+        if in_q[u]:
+            continue
+        cls = class_of[u]
+        if (deg[u] < k or (cls == R and w1n[u] >= 2)
+                or (cls == W1 and (w1n[u] >= 1 or u in queued_r_nbr))):
+            in_q[u] = 1
+            heapq.heappush(heap, u)
+            if cls == W0:
+                A += deg_w0[u]
+            else:
+                B += deg_w0[u]
+            D += deg[u] - deg_w0[u]
+            enqueued += 1
+            if cls == R:
+                for w in nbr[xadj[u]:xadj[u + 1]]:
+                    if alive[w] and class_of[w] == W1 and not in_q[w]:
+                        queued_r_nbr.add(w)
+                        candidates.append(w)
 
     s.A, s.B, s.D = A, B, D
     s.n_w0, s.n_w1 = n_w0, n_w1
-    enqueued = len(flagged)
     if s.debug:
         assert enqueued <= 4 * k * k, (
             f"iteration {s.iteration}: {enqueued} enqueues exceed 4k^2"
         )
-        # deleting v, moving movers to W1 and enqueueing can break closure
-        # only at these vertices; enqueueing never breaks it at a neighbor
-        touched = neighbors + flagged
-        for _, u_neighbors in moved:
-            touched.extend(u_neighbors)
-        _check_closure(s, set(touched))
+        # deleting v, moving vertices to W1 and enqueueing can break
+        # closure only at the candidates
+        _check_closure(s, set(candidates))
     row = TraceRow(s.iteration, v, len(heap), n_w0, n_w1,
                    s.n - s.iteration - n_w0 - n_w1, A, B, D,
                    A + k * B + s.k7b * D, enqueued)
