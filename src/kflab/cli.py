@@ -134,7 +134,8 @@ def _cmd_audit(args) -> int:
         report = json.dumps(elbr_report(g, args.k, c=args.c), separators=(",", ":"))
     else:  # trace
         core = k_core(g, args.k).core
-        res = run_strip(core, args.k, beta_override=args.beta_override)
+        res = run_strip(core, args.k, beta_override=args.beta_override,
+                        ambient_n=g.n)
         report = res.trace.to_csv()
     if not report.endswith("\n"):
         report += "\n"

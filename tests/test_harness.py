@@ -485,6 +485,22 @@ def test_audit_golden_outputs(capsys, tmp_path):
     assert hashlib.sha256(trace.encode()).hexdigest() == GOLDEN_TRACE_AUDIT
 
 
+def test_audit_trace_caps_at_the_file_size(capsys, tmp_path):
+    # a scan trial caps its strip at ceil(beta * n) of the whole graph, not
+    # of its 5-core, and the trace audit of the same file must too
+    g = gen_gnp(600, c_k_threshold(5)[0] + 0.5, seed=3)
+    core = k_core(g, 5).core
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_text(g))
+    beta = 0.1
+    cap = strip_cap(5, g.n, beta)[1]
+    assert cap != strip_cap(5, core.n, beta)[1]
+    res = run_strip(core, 5, beta_override=beta, ambient_n=g.n)
+    assert (res.halted_reason, res.iterations) == ("cap_reached", cap)
+    trace = cli_audit(capsys, path, "trace", "--beta-override", str(beta))
+    assert trace == res.trace.to_csv()
+
+
 def test_audit_empty_graph_file(capsys, tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("0 0\n")
