@@ -470,7 +470,7 @@ GOLDEN_AUDITS = {
 # sha256 of `kflab audit --which trace` on the same graph: the whole
 # stdout, since the trace CSV ends in its own newline.
 GOLDEN_TRACE_AUDIT = (
-    "6ecd0a010b0f7d448f4ebce64eb040decdbf0d356c01c373897c8e5395bf4d53"
+    "03fc31b70b8ec26f2cf5fcc63f5ab0a998cf9081223d849e6bbe47774f724d2e"
 )
 
 
