@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .graphs import Graph, _graph, _integer
 
 __all__ = [
@@ -105,6 +106,8 @@ def audit_lw0(result: CoreResult, k: int) -> Lw0Report:
     part's ok tests its measured value against the lower and upper bounds
     it reports: strictly for a and b, inclusively for c-h.
     """
+    if not isinstance(result, CoreResult):
+        raise DomainError(f"result must be a CoreResult, got {type(result).__name__}")
     k = _integer(k, 1, "k")
     core = result.core
     n = float(result.ambient_n)

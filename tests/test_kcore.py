@@ -120,6 +120,13 @@ def test_rejects_nonpositive_k():
         k_core(HOUSE, 0)
 
 
+def test_audit_lw0_rejects_a_non_core_result():
+    # both once raised a bare AttributeError on result.core
+    for bad in (None, "x"):
+        with pytest.raises(DomainError, match="CoreResult"):
+            audit_lw0(bad, 2)
+
+
 def test_k_must_be_an_integer():
     # 2.5 used to peel the 3-core; audit_lw0 once reported on it, and
     # divided by zero at k = 0
