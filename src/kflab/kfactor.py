@@ -573,10 +573,6 @@ def _properties(n: int, k: int, eps0: float, gamma: float) -> tuple[_Property, .
     slack against the bound: P2 is violated below zero, P6 when its edge
     clause is below zero or its degree clause at most zero, the rest at
     zero or below.  In P5 and P6, X plays S and Y plays T.
-
-    P6 is the one size range that admits an empty X (S).  The exact audit
-    enumerates nonempty X only and the sampled one draws |X| from [0, n];
-    tests pin both, so the two audits differ there.
     """
     root = math.sqrt(k * math.log(k)) if k > 1 else 0.0
     c6a, c6b = 0.75 * root, 0.875 * root
@@ -620,10 +616,10 @@ def _result(name, mode, checked, violations, worst, witness) -> PropertyResult:
 
 
 def _audit_exact(g: Graph, k, eps0, gamma) -> list[PropertyResult]:
-    """Apply the table to every nonempty Y, then to every nonempty X with
-    every nonempty Y disjoint from it.  A property's witness is its first
-    least margin in that order: Y ascending; X ascending, then Y
-    descending."""
+    """Apply the table to every nonempty Y with X empty, then to every
+    nonempty X with every nonempty Y disjoint from it.  A property's
+    witness is its first least margin in that order: Y ascending; X
+    ascending, then Y descending."""
     n = g.n
     props = _properties(n, k, eps0, gamma)
     masks = np.arange(1 << n)
@@ -648,7 +644,7 @@ def _audit_exact(g: Graph, k, eps0, gamma) -> list[PropertyResult]:
             e_xy=e_in[x | y] - e_in[x] - e_in[y], common=size[nbr[x] & y],
             dsum_y=dsum[y])
         for p in props:
-            if len(p.ranges) != parts:
+            if len(p.ranges) < parts:
                 continue
             ok = p.eligible(nx, ny)
             if not ok.any():
@@ -661,7 +657,7 @@ def _audit_exact(g: Graph, k, eps0, gamma) -> list[PropertyResult]:
             if t[2] is None or margin[i] < t[2]:
                 t[2] = margin[i]
                 t[3] = tuple(tuple(np.flatnonzero(bits[part[i]]).tolist())
-                             for part in (x, y)[-parts:])
+                             for part in (x, y)[-len(p.ranges):])
     return [_result(name, "exact", *t) for name, t in tally.items()]
 
 
@@ -710,10 +706,13 @@ def _audit_sampled(g: Graph, k, eps0, gamma, budget, seed) -> list[PropertyResul
         checked = viol = 0
         worst = witness = None
         for _ in range(draws):
-            # an empty range gives lo - 1, which eligible rejects
-            sizes = [int(rng.integers(lo, hi + 1)) if hi >= lo else lo - 1
-                     for lo, hi in prop.ranges]
-            if sum(sizes) > n or not prop.eligible(*(0, *sizes)[-2:]):
+            # each part is capped at the vertices the parts before it
+            # left; an empty range gives lo - 1, which eligible rejects
+            sizes = []
+            for lo, hi in prop.ranges:
+                hi = min(hi, n - sum(sizes))
+                sizes.append(int(rng.integers(lo, hi + 1)) if hi >= lo else lo - 1)
+            if not prop.eligible(*(0, *sizes)[-2:]):
                 continue
             perm, state = rng.permutation(n), []
             for s in sizes:

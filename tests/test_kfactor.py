@@ -970,17 +970,26 @@ def test_audit_golden_corpus():
 
 
 def test_audit_sampled_never_beats_exact():
-    # on P1-P5 the sampled audit draws only pairs the exact one enumerates,
-    # so its worst margin cannot undercut the exhaustive minimum.  P6 is
-    # left out: only the sampled audit admits an empty S there
+    # the sampled audit draws only pairs the exact one enumerates, so its
+    # worst margin cannot undercut the exhaustive minimum
+    compared = 0
     for n in (5, 9, 12):
         for g, k, eps0, gamma, seed in audit_corpus(n):
             exact = kfactor._audit_exact(g, k, eps0, gamma)
             sampled = kfactor._audit_sampled(g, k, eps0, gamma, 600, seed)
-            for e, s in zip(exact[:5], sampled[:5]):
+            for e, s in zip(exact, sampled, strict=True):
                 assert e.name == s.name
                 if s.mode == "vacuous":
                     continue
                 assert e.mode == "exact"
                 assert s.worst_margin >= e.worst_margin, (n, k, eps0, e.name)
                 assert s.violations == 0 or e.violations > 0
+                compared += 1
+    assert compared == 248
+
+
+def test_audit_sampled_caps_each_part_at_the_vertices_left():
+    # P1's |Y| range runs to 10 eps0 n = 2000, past n = 200: capped at n,
+    # every draw is eligible, as for P2, whose range ends at n / 2
+    rep = audit_properties(gen_gnp(200, 6.0, 1), 3, epsilon0=1.0)
+    assert rep.result("P1").checked == rep.result("P2").checked == 333
