@@ -857,12 +857,13 @@ def test_audit_exact_cycle_degree_clause():
     for name in ("P3", "P4", "P5"):
         assert rep.result(name).mode == "vacuous"
     p6 = rep.result("P6")
-    # nonempty disjoint (S, T) pairs: 3^12 - 2 * 2^12 + 1
-    assert p6.checked == 3 ** 12 - 2 ** 13 + 1 == 523250
+    # disjoint (S, T) pairs with T nonempty, S empty included: 3^12 - 2^12
+    assert p6.checked == 3 ** 12 - 2 ** 12 == 527345
     assert p6.violations == p6.checked
-    # S nonempty caps |T| at 11; margin is the pure degree shortfall
+    # S empty admits T = V; margin is the pure degree shortfall
     surplus = 0.875 * math.sqrt(2 * math.log(2))
-    assert p6.worst_margin == pytest.approx(-surplus * 11)
+    assert p6.worst_margin == pytest.approx(-surplus * 12)
+    assert p6.witness == ((), tuple(range(12)))
 
 
 def test_audit_sampled_deterministic():
@@ -928,26 +929,29 @@ def test_audit_report_json_shape():
 # sha256 of the concatenated audit_properties(...).to_json() over seeded
 # random graphs, one digest per n, for k in (1, 2, 3, 5) and each
 # (epsilon0, gamma) in AUDIT_PARAMS: n <= 12 takes the exact path, the rest
-# the sampled one.  Recorded before P1-P6 moved into one table.
+# the sampled one.  Recorded before P1-P6 moved into one table, and
+# re-recorded when both audits began to apply each size range as stated:
+# the exact one reaches P6's empty S, the sampled one caps each part at
+# the vertices the parts before it left.
 AUDIT_PARAMS = [(0.01, 0.1), (0.1, 0.5), (0.3, 0.05), (0.5, 0.1), (1.0, 1.0)]
 GOLDEN_AUDIT_CORPUS = {
     0: "083839b3fb2b3203fd9532c12456ff4ec7fa4ebc3a2530aacc67104d4df09365",
-    1: "0ad15c0cb21177e003b1fe5ded235f28ce5edbc8a358954a7924fd435816a1bf",
-    2: "0f40f7097bc6a8a8812c8e96bf16b03f2bfdf9b4cfd2f3d9e1edf6faaead4c88",
-    3: "877b31ec24a0101b4d3395d475d50969cfc2f8c5d7c8e1238dc346fccdac8a27",
-    4: "f9820b582372f428fcb2c438208fe43d916959780b7cb71535583e9a243e55c6",
-    5: "ac9fed16d5726b7741cb88543b9de0aacf8dcd186b79426dbe261daa7f601813",
-    6: "920137f644b2638960e4bd4c24cf954bd65cc03a58e4a5f39f98d27961d8d14f",
-    7: "58297e94f81e9de3fdcdd76546f06d53b3c3752385cc127230299cf280eadafb",
-    8: "ce7981e40c267af4b7a0d0638e79e44c1b5d1063e6f33bb30fd99c45b897b0a6",
-    9: "ef1188dbb8dba98043b06289768d8412a1d5972e1fdd1f7b382b5e075c28791d",
-    10: "78645dbacf99d7b58a0a0934ce5894688975398ee76a7ad438244c747188691d",
-    11: "8395d3f528b81420c42d1696c1faed0eac206834bb502ba0a40817cda7de33ca",
-    12: "5252647bc4b5b2c42db528b7b397f6a1fde0dcc5265abf59aef1116ab543bf10",
-    13: "e80124250508061511a83aff1e4b5107c0278ed55a6d971116c480ef7d101136",
-    20: "59108e60b6c68cb76716a91e25795c7a53f7dc15bcfe695e07c97b0a2a71a292",
-    40: "171d00f727bb7ef49cd26e61231d02eaeb824652b606b7f9ca5f811b4377ac82",
-    90: "6594eeb68d011adecb7c166b07b72759a81b7d00b306492ad904a1bcc89c95b1",
+    1: "94350806693712cb91d852f8f6f7f4ef64b81d4fdf18bb37db28efdc13167fdc",
+    2: "db9ff9a1fed2a216fc7f2bed428a7b5f98a1469b9fb6b771324882c1bc6fb4c0",
+    3: "bca6f2d9c5211984d8a0ca90b1d929c8dc8c070b0e9b19fa244854a3d148f68e",
+    4: "4142c0fb0ec38216e64ac7833737b3daf78a2573efb56043510c4a10887b141d",
+    5: "cdfd0bea84f474aeeba8c54f236bfcb36e9e21413ccd2606330a1ff5257df303",
+    6: "fb6f5e361adc5316d38a020f158c10c70185b3345ceda0d00279b822a01388df",
+    7: "45c1faa218d1d5c8a5264a8d018b4194a4300126989076b6ef4ac7b1c859ff9f",
+    8: "2e99a63d41ee2ea008cef80aa12237b000593599951071a049e61ddec954f268",
+    9: "7051c053c5c6bc4763900854193fce3279000ef3c4031f6113851b18d58a3346",
+    10: "19ab471bf34461bf54987f6f88028620c64326006e0c4b9ce8ab7d5a5fa2f5cf",
+    11: "0567918398528fda2bcd28818640b1f6bc1b723659fe4bef83c6b5d8faacc622",
+    12: "233333418408b4728e80dc81b6b151423d759732aaf0286ebfa701caebdab1cf",
+    13: "877a37fdc42165a28fed0116efb650b7575ebf65219562ffde8d8e636b643fdf",
+    20: "7c05ce3f67f06c30d9af9fa67b546048459ed44019f78d8a4b52bd19c0c28999",
+    40: "d14b1f1a3bc315d075900ce14dbe0560b58f140104d440d0ad61dbac26200254",
+    90: "9b56e6425a89a3431b2951aac3214e7fedca170956c099385b94a1458322f0ac",
 }
 
 
