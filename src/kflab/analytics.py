@@ -81,20 +81,16 @@ def poisson_tail(x: float, j: int) -> float:
             if term < acc * _TERM_CUTOFF:
                 break
         return max(1.0 - acc, 0.0)
-    # upper side: terms decrease geometrically with ratio x/(i+1) < 1
+    # upper side: terms decrease geometrically with ratio x/(i+1) < 1, so
+    # the first negligible term ends the sum, also once terms underflow to 0
     acc = 0.0
     i = j
     while True:
         term = math.exp(-x + i * logx - math.lgamma(i + 1))
         acc += term
+        if term <= acc * _TERM_CUTOFF:
+            return acc
         i += 1
-        if term < acc * _TERM_CUTOFF and acc > 0.0:
-            break
-        if term == 0.0 and acc == 0.0 and i > j + 8:
-            break
-        if i > j + 10 * int(x + 10) + 100:
-            break
-    return acc
 
 
 def f_of_x(x: float, k: int) -> float:

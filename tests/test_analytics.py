@@ -350,3 +350,9 @@ def test_poisson_tail_agrees_with_scipy():
             ref = float(sp.sf(j - 1, x))
             if ref > 1e-290:
                 assert A.poisson_tail(x, j) == pytest.approx(ref, rel=1e-9)
+
+
+def test_poisson_tail_underflows_to_zero():
+    # every term of the upper sum underflows, so the first one ends it
+    assert A.poisson_tail(1e-6, 100000) == 0.0
+    assert A.poisson_tail(1e-6, 2) > 0.0
