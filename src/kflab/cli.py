@@ -68,7 +68,7 @@ def _cmd_strip(args) -> int:
         args.k,
         beta_override=args.beta_override,
     )
-    res = enforce_parity(res, args.k)
+    res = enforce_parity(res)
     rep = verify_K(res.K, args.k, ambient_n=g.n)
     if args.out:
         _emit(format_edge_text(res.K), args.out)
@@ -77,6 +77,8 @@ def _cmd_strip(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    if args.out is not None and not args.emit_certificate:
+        raise DomainError("--out needs --emit-certificate")
     g = _read_graph(args.path)
     cert = find_k_factor(g, args.k)
     if cert is None:

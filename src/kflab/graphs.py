@@ -27,12 +27,12 @@ __all__ = ["Graph", "parse_edge_text", "format_edge_text"]
 
 def _int64(values, what: str) -> np.ndarray:
     """values as an int64 array; DomainError unless they form a rectangular
-    array of integers (integral floats pass, a truncating cast does not)."""
+    array of integers (integral floats pass; bools and truncations do not)."""
     try:
         raw = np.asarray(values)
     except ValueError as exc:  # ragged nesting
         raise DomainError(f"{what} must be a rectangular array") from exc
-    if raw.dtype.kind not in "biuf":  # object, complex, string, ...
+    if raw.dtype.kind not in "iuf":  # bool, object, complex, string, ...
         raise DomainError(f"{what} must be integers")
     with np.errstate(invalid="ignore"):  # nan and inf cast to values caught below
         arr = raw.astype(np.int64, copy=False)

@@ -187,7 +187,7 @@ def _pipeline(n, c, k, seed, trial, mode, beta_override):
             )
             del host  # K is a compacted copy of what the deletions kept
             stage = "parity"
-            res = enforce_parity(res, k)
+            res = enforce_parity(res)
             K = res.K
             row.update(
                 strip_halted_reason=res.halted_reason,

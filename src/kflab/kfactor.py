@@ -6,9 +6,9 @@ exists iff for every disjoint S, T:
     k|S| + sum_{v in T} (d(v) - k) >= q(S,T) + e(S,T)
 
 where q(S,T) counts components Q of the rest with k|Q| and e(Q,T) of
-different parity.  tutte_check evaluates it for one pair; a vertex v of
-degree < k alone violates it, as (S, T) = ({}, {v}).  This module provides
-both routes to a verdict:
+different parity.  The host is g with parallel edges counted and loops left
+out, as no factor uses one; d(v) is v's host degree.  tutte_check evaluates
+one pair; a v with d(v) < k violates ({}, {v}).  Both routes read that host:
 
 * brute_force_tutte enumerates all disjoint (S, T) pairs (3^n of them,
   capped at n = 16): per rest U = V - (S u T), in ascending mask order, it
@@ -130,16 +130,28 @@ def _mask(g: Graph, vertices: set[int]) -> np.ndarray:
     return out
 
 
+def _host_instances(g) -> np.ndarray:
+    """g's edge rows repeated by multiplicity, loops left out (a loop adds
+    2 to one vertex, so no k-factor uses one): an (m, 2) canonical array."""
+    _graph(g, "g")
+    return g.edge_array if g.mult is None else np.repeat(g.edge_array, g.mult, axis=0)
+
+
+def _host_degrees(g: Graph) -> np.ndarray:
+    """Each vertex's ends in _host_instances(g): its degree less its loops."""
+    return g.degrees if g.loops is None else g.degrees - 2 * g.loops
+
+
 def _subset_tables(g: Graph):
-    """Tables over every vertex bitmask m of g, as numpy arrays indexed by
-    m: bits[m], m's members as a boolean row; size[m] = |m|; into[m], each
-    vertex's neighbour count in m; e_in[m] = e(m); nbr[m] = N(m) as a mask.
+    """Tables over every vertex bitmask m of g's host, as numpy arrays indexed
+    by m: bits[m], m's members as a boolean row; size[m] = |m|; into[m], each
+    vertex's edge count into m; e_in[m] = e(m); nbr[m] = N(m) as a mask.
     Both exhaustive searches, the Tutte pairs and the P1-P6 audit, read them.
     """
     n = g.n
     adj = np.zeros((n, n), dtype=np.int64)
     u, v = g.edge_array.T
-    adj[u, v] = adj[v, u] = 1
+    adj[u, v] = adj[v, u] = 1 if g.mult is None else g.mult
     bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
     into = bits @ adj
     return (bits, bits.sum(axis=1), into, (into * bits).sum(axis=1) // 2,
@@ -147,17 +159,17 @@ def _subset_tables(g: Graph):
 
 
 def tutte_check(g: Graph, k: int, S, T) -> TutteWitness:
-    """Evaluate the factor inequality for one (S, T) pair.
+    """Evaluate the factor inequality for one (S, T) pair on g's host.
 
-    lhs is Tutte's full sum k|S| + sum_{v in T} (d(v) - k), with no
-    degree precondition, so a T vertex of degree < k lowers it; rhs is
-    q + e(S, T), q counting the components Q of g minus (S u T) with k|Q|
-    and e(Q, T) of different parity.
+    lhs is Tutte's full sum k|S| + sum_{v in T} (d(v) - k), d(v) the host
+    degree, with no degree precondition, so a T vertex of d(v) < k lowers
+    it; rhs is q + e(S, T), q counting the components Q of g minus (S u T)
+    with k|Q| and e(Q, T) of different parity, parallel edges counted.
     """
-    _graph(g, "g", simple=True)
+    _graph(g, "g")
     k = _integer(k, 1, "k")
     s, t = _check_sets(g, S, T)
-    t_nbrs = g.neighbors_in(_mask(g, t))
+    t_nbrs = g.neighbors_in(_mask(g, t), g.mult)
     xadj, nbr, _ = g.csr()
     xadj, nbr = xadj.tolist(), nbr.tolist()
     # S and T read as seen, so no walk enters them
@@ -180,7 +192,7 @@ def tutte_check(g: Graph, k: int, S, T) -> TutteWitness:
         if (k * len(comp)) % 2 != e_qt % 2:
             q += 1
     e_st = int(t_nbrs[_mask(g, s)].sum())
-    deg = g.degrees
+    deg = _host_degrees(g)
     lhs = k * len(s) + sum(int(deg[v]) - k for v in t)
     rhs = q + e_st
     return TutteWitness(
@@ -195,23 +207,23 @@ def tutte_check(g: Graph, k: int, S, T) -> TutteWitness:
 
 
 def brute_force_tutte(g: Graph, k: int, restrict_m1m2: bool = False):
-    """Exhaust all disjoint (S, T) pairs; return tutte_check's witness for
-    the first violating pair in deterministic order, or None when the
-    inequality always holds (equivalently: a k-factor exists).
+    """Exhaust all disjoint (S, T) pairs of g's host; return tutte_check's
+    witness for the first violating pair in deterministic order, or None
+    when the inequality always holds (equivalently: a k-factor exists).
 
-    restrict_m1m2 skips pairs where S contains a degree-k vertex (M1) or
-    where some component counted by q has no vertex of degree >= k+1 (M2);
-    the existence verdict is unchanged.  That soundness argument assumes
-    minimum degree >= k, so g must have it.
+    restrict_m1m2 skips pairs where S contains a vertex of host degree k
+    (M1) or where some component counted by q has no vertex of host degree
+    >= k+1 (M2); the verdict is unchanged.  That soundness argument
+    assumes minimum host degree >= k, so g must have it.
     """
-    _graph(g, "g", simple=True)
+    _graph(g, "g")
     k = _integer(k, 1, "k")
     n = g.n
     if n > BRUTE_FORCE_CAP:
         raise DomainError(f"brute force capped at n = {BRUTE_FORCE_CAP}, got {n}")
-    deg = g.degrees
+    deg = _host_degrees(g)
     if n and int(deg.min()) < k:
-        raise DomainError("brute_force_tutte requires minimum degree >= k")
+        raise DomainError("brute_force_tutte requires minimum host degree >= k")
 
     bits, size, into, e_in, nbr = _subset_tables(g)
     pw = 1 << np.arange(n)
@@ -291,18 +303,6 @@ class GadgetReduction:
     @property
     def edges(self) -> np.ndarray:
         return self.graph.edge_array
-
-
-def _host_instances(g) -> np.ndarray:
-    """g's edge rows repeated by multiplicity, loops left out (a loop adds
-    2 to one vertex, so no k-factor uses one): an (m, 2) canonical array."""
-    _graph(g, "g")
-    return g.edge_array if g.mult is None else np.repeat(g.edge_array, g.mult, axis=0)
-
-
-def _host_degrees(g: Graph) -> np.ndarray:
-    """Each vertex's ends in _host_instances(g): its degree less its loops."""
-    return g.degrees if g.loops is None else g.degrees - 2 * g.loops
 
 
 def gadget_reduce(g, k: int) -> GadgetReduction:

@@ -428,15 +428,15 @@ def verify_K(K: Graph, k: int, ambient_n: int | None = None) -> KReport:
     return KReport(k1=k1, k2=k2, k3=k3, k4=k4)
 
 
-def enforce_parity(result: StripResult, k: int) -> StripResult:
-    """Delete one vertex to make k|K| even, if needed and possible.
+def enforce_parity(result: StripResult) -> StripResult:
+    """Delete one vertex to make result.k * |K| even, if needed and possible.
 
     The vertex chosen is the least-id one with degree > k all of whose
     neighbors also have degree > k; removing it keeps every degree >= k.
     """
     if not isinstance(result, StripResult):
         raise DomainError(f"result must be a StripResult, got {type(result).__name__}")
-    k = _integer(k, 1, "k")
+    k = result.k
     if (k * result.K.n) % 2 == 0:
         return replace(result, k4_action="none", k4_vertex=None)
     deg = result.K.degrees

@@ -144,6 +144,21 @@ def test_cli_stdout_digests(capsys, graph_file, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (cmd, *flags)
 
 
+def test_factor_out_needs_emit_certificate(capsys, graph_file, tmp_path):
+    # on this 3-core, which has a 2-factor, --out alone once exited 0 and
+    # wrote nothing; the rule is checked before the graph is read, so a
+    # missing file gives the same error
+    core_path = tmp_path / "core.txt"
+    run(capsys, "core", str(graph_file), "--k", "3", "--out", str(core_path))
+    cert_path = tmp_path / "cert.json"
+    for path in (core_path, tmp_path / "no-such-file.txt"):
+        code, out, err = run(capsys, "factor", str(path), "--k", "2",
+                             "--out", str(cert_path))
+        assert (code, out) == (2, ""), path
+        assert err == "error: --out needs --emit-certificate\n", path
+        assert not cert_path.exists()
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "factor", "no-such-file.txt", "--k", "2")
     assert code == 2

@@ -364,7 +364,7 @@ def test_scan_writes_outputs_and_certificates(tmp_path):
         # up to it and verify against that host
         g = gen_gnp(60, grid[ci], rec.seed)
         res = run_strip(k_core(g, 2).core, 2, beta_override=1.0, ambient_n=60)
-        res = enforce_parity(res, 2)
+        res = enforce_parity(res)
         assert res.K.n == rec.k_size
         assert verify_k_factor(res.K, [tuple(e) for e in cert["edges"]], 2)
         assert len(cert["edges"]) == rec.k_size  # k = 2: |F| = |K|

@@ -27,6 +27,7 @@ from kflab.kfactor import (
     FactorCertificate,
     TutteWitness,
     _greedy_degree_saturation,
+    _host_degrees,
     _host_instances,
     _seed_mate,
     audit_properties,
@@ -77,9 +78,11 @@ def test_q_domain_errors():
         tutte_check(C4, 2, {9}, set()).q
     with pytest.raises(DomainError):
         tutte_check(C4, 0, set(), set()).q
-    # vertex ids are integers: 0.5 once evaluated S = {0}, and a string
-    # raised a bare ValueError
-    for bad in ([0.5], [math.nan], ["a"], "0", [[0, 1]], 3):
+    # vertex ids are integers: 0.5 once evaluated S = {0}, a string raised
+    # a bare ValueError, and a mask was read as ids, this one, meaning
+    # {1, 2}, as {0, 1}
+    for bad in ([0.5], [math.nan], ["a"], "0", [[0, 1]], 3,
+                np.array([False, True, True, False]), [True]):
         with pytest.raises(DomainError):
             tutte_check(C4, 2, bad, set())
         with pytest.raises(DomainError):
@@ -129,10 +132,17 @@ def test_check_low_degree_vertex_is_a_witness():
     assert low_seen > 100
 
 
-def test_check_rejects_multigraph():
-    mg = Graph.from_pairs(2, [(0, 1), (0, 1)])
-    with pytest.raises(DomainError):
-        tutte_check(mg, 2, set(), set())
+def test_check_multigraph_hand_pair():
+    # the host counts both copies of 0-1 and of 1-2 and leaves 2's loop out:
+    # d = (2, 4, 2), so lhs = 2 * 1 + 0 + 0 = 2 against e(S, T) = 4; read
+    # simply, or with the loop's 2, the pair would hold
+    g = Graph.from_pairs(3, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 2)])
+    want = TutteWitness(S=(1,), T=(0, 2), q=0, e_st=4, lhs=2, rhs=4,
+                        violated=True)
+    assert tutte_check(g, 2, {1}, {0, 2}) == want
+    assert brute_force_tutte(g, 2) == want
+    assert brute_force_tutte(g, 2, restrict_m1m2=True) == want
+    assert find_k_factor(g, 2) is None
 
 
 # ---------------------------------------------------- brute_force_tutte
@@ -626,7 +636,7 @@ def test_k_must_be_an_integer():
              lambda k: find_k_factor(K5, k),
              lambda k: audit_properties(K5, k))
     for call in calls:
-        for k in (2.5, math.nan, "2", None):
+        for k in (2.5, math.nan, "2", None, True):  # True once ran as k = 1
             with pytest.raises(DomainError):
                 call(k)
         assert call(2.0) == call(2)
@@ -775,6 +785,64 @@ def test_constructive_matches_brute_existence():
         assert (witness is None) == (cert is not None), (n, k)
         eligible += 1
     assert eligible > 60
+
+
+def configuration_hosts():
+    """(k, host) pairs: configuration multigraphs on n = 3..9 vertices with
+    every degree in [k, k + 3], loops and parallel edges kept, so a host's
+    minimum degree may fall below k once its loops are left out."""
+    rng = make_rng(27)
+    for seed in range(900):
+        n, k = int(rng.integers(3, 10)), int(rng.integers(1, 4))
+        degrees = rng.integers(k, k + 4, size=n)
+        degrees[0] += degrees.sum() % 2
+        yield k, to_multigraph(sample_configuration(degrees, seed))
+
+
+def test_multigraph_routes_agree():
+    # on the loopless multigraph host, the constructive route, the
+    # exhaustive Tutte search in both modes and the edge-multiset oracle
+    # give one verdict; each certificate and each witness checks
+    eligible = non_simple = loopy = found = 0
+    for k, g in configuration_hosts():
+        if int(_host_degrees(g).min()) < k:
+            continue
+        eligible += 1
+        non_simple += not g.is_simple()
+        loopy += g.loops is not None
+        cert = find_k_factor(g, k)
+        exists = regular_subgraph_exists(g, k)
+        assert (cert is not None) == exists, (k, g)
+        for restrict in (False, True):
+            w = brute_force_tutte(g, k, restrict_m1m2=restrict)
+            assert (w is None) == exists, (k, g, restrict)
+            if w is not None:
+                assert w.violated and tutte_check(g, k, w.S, w.T) == w
+        if cert is not None:
+            found += 1
+            assert verify_k_factor(g, cert.edges, k)
+    assert eligible >= 500 and non_simple > eligible // 2 and loopy >= 100
+    assert 100 <= found <= eligible - 100
+
+
+def test_multigraph_early_nones_have_trivial_witnesses():
+    # find_k_factor answers None at once on odd k * n, where ({}, {}) is
+    # violated, and on a vertex of host degree < k, where ({}, {v}) is,
+    # also when v's loops alone lift its degree to k or more
+    odd = low = lifted = 0
+    for k, g in configuration_hosts():
+        low_ids = np.flatnonzero(_host_degrees(g) < k).tolist()
+        if (k * g.n) % 2 or low_ids:
+            assert find_k_factor(g, k) is None, (k, g)
+        if (k * g.n) % 2:
+            assert tutte_check(g, k, (), ()).violated, (k, g)
+            odd += 1
+        for v in low_ids:
+            w = tutte_check(g, k, (), (v,))
+            assert w.violated and w.lhs == int(_host_degrees(g)[v]) - k, (k, g, v)
+            low += 1
+            lifted += int(g.degrees[v]) >= k
+    assert odd >= 100 and low >= 100 and lifted >= 100
 
 
 def test_constructive_matches_edge_subset_search():

@@ -649,20 +649,17 @@ def test_verify_k_reports():
 
 def test_enforce_parity_none_when_even():
     res = run_strip(K5, 2, beta_override=1.0)
-    out = enforce_parity(res, 2)  # 2 * 5 = 10 even
+    out = enforce_parity(res)  # 2 * 5 = 10 even
     assert out.k4_action == "none" and out.K.n == 5
 
 
 def test_enforce_parity_deletes_from_k5():
     res = run_strip(K5, 3, beta_override=1.0)
     assert res.K.n == 5  # 3 * 5 = 15 odd
-    # k = 3.5 once read 3.5 * 5 = 17.5 as odd and deleted a vertex
-    with pytest.raises(DomainError):
-        enforce_parity(res, 3.5)
     # None once raised a bare AttributeError
     with pytest.raises(DomainError):
-        enforce_parity(None, 3)
-    out = enforce_parity(res, 3)
+        enforce_parity(None)
+    out = enforce_parity(res)
     assert out.k4_action == "deleted"
     assert out.k4_vertex == 0
     assert out.K.n == 4
@@ -681,7 +678,7 @@ def test_enforce_parity_failure_case():
     res = run_strip(g, 3, beta_override=1e-9)
     assert res.cap == 1
     fake = dataclasses.replace(res, K=g, kept=np.arange(5))
-    out = enforce_parity(fake, 3)
+    out = enforce_parity(fake)
     assert out.k4_action == "failed"
     assert out.K.n == 5
 
@@ -708,7 +705,7 @@ def test_enforce_parity_matches_vertex_scan():
              if deg[v] > k and all(deg[u] > k for u in adj[v])),
             None,
         )
-        out = enforce_parity(res, k)
+        out = enforce_parity(res)
         if (k * res.K.n) % 2 == 0:
             assert out.k4_action == "none"
         elif expect is None:
