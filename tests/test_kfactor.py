@@ -82,7 +82,7 @@ def test_q_domain_errors():
     # a bare ValueError, and a mask was read as ids, this one, meaning
     # {1, 2}, as {0, 1}
     for bad in ([0.5], [math.nan], ["a"], "0", [[0, 1]], 3,
-                np.array([False, True, True, False]), [True]):
+                np.array([False, True, True, False]), [True], [-1]):
         with pytest.raises(DomainError):
             tutte_check(C4, 2, bad, set())
         with pytest.raises(DomainError):
@@ -90,6 +90,8 @@ def test_q_domain_errors():
     want = tutte_check(C4, 2, {0}, {1, 3})
     assert tutte_check(C4, 2, [np.int64(0)], np.array([3.0, 1.0])) == want
     assert tutte_check(C4, 2, (0.0,), frozenset({1, 3})) == want
+    # a repeated id names its vertex once
+    assert tutte_check(C4, 2, [0, 0], [3, 1, 3]) == want
 
 
 # --------------------------------------------------------- tutte_check
@@ -143,6 +145,25 @@ def test_check_multigraph_hand_pair():
     assert brute_force_tutte(g, 2) == want
     assert brute_force_tutte(g, 2, restrict_m1m2=True) == want
     assert find_k_factor(g, 2) is None
+
+
+def test_check_scan_size_witnesses():
+    # the 5-core of G(50000, (c_5 + 0.5)/n), seed 1, and the configuration
+    # multigraph on its degrees, seed 3: T is the first 7,000 vertices of
+    # degree 5 and S the first 300 of degree >= 9.  On the multigraph a
+    # vertex of T whose degree counts a loop has host degree 3, so lhs
+    # falls by 2 to 1498
+    n, k = 50000, 5
+    core = k_core(gen_gnp(n, c_k_threshold(k)[0] + 0.5, 1), k).core
+    multi = to_multigraph(sample_configuration(core.degrees, 3))
+    for g, want in ((core, (1, 367, 1500, 368)), (multi, (0, 412, 1498, 412))):
+        T = np.flatnonzero(g.degrees == k)[:7000]
+        S = np.flatnonzero(g.degrees >= 9)[:300]
+        w = tutte_check(g, k, S, T)
+        assert (w.q, w.e_st, w.lhs, w.rhs) == want
+        assert not w.violated
+        assert w.S == tuple(S.tolist()) and w.T == tuple(T.tolist())
+        assert all(type(v) is int for v in w.S + w.T)
 
 
 # ---------------------------------------------------- brute_force_tutte
