@@ -101,9 +101,10 @@ class FactorCertificate:
         return json.dumps(self, default=vars, separators=(",", ":"))
 
 
-def _vertex_set(values, what: str) -> set[int]:
-    """values as a set of ints; DomainError unless they are a collection of
-    integers (integral floats pass, 0.5 and nan do not)."""
+def _vertex_mask(g: Graph, values, what: str) -> np.ndarray:
+    """values as a boolean mask over g's vertices; DomainError unless they
+    are a flat collection of integers in [0, n) (integral floats pass,
+    booleans and 0.5 do not).  A repeated id names its vertex once."""
     try:
         values = list(values)
     except TypeError:
@@ -111,23 +112,12 @@ def _vertex_set(values, what: str) -> set[int]:
     ids = _int64(values, what)
     if ids.ndim != 1:
         raise DomainError(f"{what} must be a flat collection of vertex ids")
-    return set(ids.tolist())
-
-
-def _check_sets(g: Graph, S, T) -> tuple[set[int], set[int]]:
-    s, t = _vertex_set(S, "S"), _vertex_set(T, "T")
-    if s & t:
-        raise DomainError(f"S and T overlap: {sorted(s & t)}")
-    for v in s | t:
-        if not 0 <= v < g.n:
-            raise DomainError(f"vertex {v} out of range for n = {g.n}")
-    return s, t
-
-
-def _mask(g: Graph, vertices: set[int]) -> np.ndarray:
-    out = np.zeros(g.n, dtype=bool)
-    out[list(vertices)] = True
-    return out
+    out = (ids < 0) | (ids >= g.n)
+    if out.any():
+        raise DomainError(f"vertex {ids[out][0]} out of range for n = {g.n}")
+    mask = np.zeros(g.n, dtype=bool)
+    mask[ids] = True
+    return mask
 
 
 def _host_instances(g) -> np.ndarray:
@@ -165,15 +155,18 @@ def tutte_check(g: Graph, k: int, S, T) -> TutteWitness:
     degree, with no degree precondition, so a T vertex of d(v) < k lowers
     it; rhs is q + e(S, T), q counting the components Q of g minus (S u T)
     with k|Q| and e(Q, T) of different parity, parallel edges counted.
+    S and T are collections of vertex ids, read as boolean masks.
     """
     _graph(g, "g")
     k = _integer(k, 1, "k")
-    s, t = _check_sets(g, S, T)
-    t_nbrs = g.neighbors_in(_mask(g, t), g.mult)
+    s, t = _vertex_mask(g, S, "S"), _vertex_mask(g, T, "T")
+    if (s & t).any():
+        raise DomainError(f"S and T overlap: {np.flatnonzero(s & t).tolist()}")
+    t_nbrs = g.neighbors_in(t, g.mult)
     xadj, nbr, _ = g.csr()
-    xadj, nbr = xadj.tolist(), nbr.tolist()
+    xadj, nbr = memoryview(xadj), memoryview(nbr)
     # S and T read as seen, so no walk enters them
-    seen = _mask(g, s | t).tolist()
+    seen = (s | t).tolist()
     q = 0
     for start in range(g.n):
         if seen[start]:
@@ -191,13 +184,12 @@ def tutte_check(g: Graph, k: int, S, T) -> TutteWitness:
         e_qt = int(t_nbrs[comp].sum())
         if (k * len(comp)) % 2 != e_qt % 2:
             q += 1
-    e_st = int(t_nbrs[_mask(g, s)].sum())
-    deg = _host_degrees(g)
-    lhs = k * len(s) + sum(int(deg[v]) - k for v in t)
+    e_st = int(t_nbrs[s].sum())
+    lhs = int(k * np.count_nonzero(s) + (_host_degrees(g)[t] - k).sum())
     rhs = q + e_st
     return TutteWitness(
-        S=tuple(sorted(s)),
-        T=tuple(sorted(t)),
+        S=tuple(np.flatnonzero(s).tolist()),
+        T=tuple(np.flatnonzero(t).tolist()),
         q=q,
         e_st=e_st,
         lhs=lhs,
