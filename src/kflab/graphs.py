@@ -55,8 +55,8 @@ def _integer(value, least: int, what: str) -> int:
 
 def _real(value, what: str) -> float:
     """value as a float; DomainError unless it is a real number.  nan and
-    inf pass, for the caller's range check; strings do not."""
-    if not isinstance(value, numbers.Real):
+    inf pass, for the caller's range check; strings and booleans do not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise DomainError(f"{what} must be a real number, got {value!r}")
     return float(value)
 
@@ -68,6 +68,14 @@ def _graph(value, what: str, *, simple: bool = False) -> Graph:
         raise DomainError(f"{what} must be a Graph, got {type(value).__name__}")
     if simple and not value.is_simple():
         raise DomainError(f"{what} must be a simple Graph: no parallel edges or loops")
+    return value
+
+
+def _bool_mask(value, n: int, what: str) -> np.ndarray:
+    """value itself; DomainError unless it is a boolean array of length n."""
+    if not (isinstance(value, np.ndarray) and value.dtype == bool
+            and value.shape == (n,)):
+        raise DomainError(f"{what} must be a boolean array of length {n}")
     return value
 
 
@@ -137,7 +145,7 @@ class Graph:
         """A multigraph on unordered pairs; a pair may repeat or be a loop."""
         n = _integer(n, 0, "vertex count")
         arr = _pairs(n, pairs)
-        lo, hi = arr.min(axis=1), arr.max(axis=1)
+        lo, hi = np.minimum(*arr.T), np.maximum(*arr.T)
         is_loop = lo == hi
         keys, mult = np.unique(lo[~is_loop] * n + hi[~is_loop], return_counts=True)
         return cls(
@@ -212,7 +220,7 @@ class Graph:
         row weighted by weights: None (1 per row) counts distinct
         neighbors, mult counts edges.  Loops are not counted.  On disjoint
         X, Y the edge count e(X, Y) is neighbors_in(in_y)[in_x].sum()."""
-        e = self.edge_array
+        mask, e = _bool_mask(mask, self.n, "mask"), self.edge_array
         w = 1 if weights is None else weights
         out = np.bincount(e[:, 0], weights=w * mask[e[:, 1]], minlength=self.n)
         out += np.bincount(e[:, 1], weights=w * mask[e[:, 0]], minlength=self.n)
@@ -238,7 +246,7 @@ class Graph:
         original id of new vertex i (ascending, so relabeling is canonical).
         Multiplicities and loops of the kept part carry over.
         """
-        keep = np.asarray(keep, dtype=bool)
+        keep = _bool_mask(keep, self.n, "keep")
         old_ids = np.flatnonzero(keep)
         new_id = np.full(self.n, -1, dtype=np.int64)
         new_id[old_ids] = np.arange(len(old_ids))

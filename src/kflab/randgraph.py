@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, ParityError
 from .graphs import Graph, _int64, _int_pairs, _integer, _real
-from .rng import make_rng
+from .rng import _seed, make_rng
 
 __all__ = [
     "W0",
@@ -124,7 +124,7 @@ def gen_gnp(n: int, c: float, seed: int) -> Graph:
 
     Deterministic per (n, c, seed); p is clamped to [0, 1].
     """
-    n, c = _integer(n, 1, "n"), _real(c, "c")
+    n, c, seed = _integer(n, 1, "n"), _real(c, "c"), _seed(seed, "seed")
     if not c >= 0:
         raise DomainError(f"gen_gnp needs c >= 0, got {c}")
     p = min(c / n, 1.0)

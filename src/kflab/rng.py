@@ -21,11 +21,14 @@ _MASK = (1 << 64) - 1
 
 def _seed(value, what: str) -> int:
     """value as an int; DomainError unless it is an integer.  Any sign and
-    width passes (derived seeds are unsigned 64-bit); floats do not."""
+    width passes (derived seeds are unsigned 64-bit); floats and booleans
+    do not."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 def spawn_seed(base: int, label: str, *indices: int) -> int:

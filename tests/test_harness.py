@@ -137,6 +137,17 @@ def test_pipeline_precondition_errors():
         assert run_pipeline(10, 1.0, 3, seed=seed).error == ""
 
 
+def test_pipeline_rejects_boolean_c_and_seed():
+    # True once ran as c = 1.0 and as seed 1
+    with pytest.raises(DomainError, match="c must be a real number"):
+        run_pipeline(200, True, 3, 1)
+    with pytest.raises(DomainError, match="seed"):
+        run_pipeline(200, 1.0, 3, True)
+    with pytest.raises(DomainError, match="c_from"):
+        ScanConfig(k=3, n=50, c_from=True, c_to=2.0, steps=2, trials=1,
+                   base_seed=0).validate()
+
+
 def test_multigraph_mode_runs():
     c = c_k_threshold(3)[0] + 1
     r = run_pipeline(800, c, 3, seed=3, mode="multigraph", beta_override=0.1)

@@ -993,6 +993,13 @@ def test_audit_guards():
         audit_properties(C4, 2, seed=seed)
 
 
+def test_audit_rejects_boolean_reals():
+    # True once ran as epsilon0 = gamma = 1.0
+    for bad in ({"epsilon0": True}, {"gamma": True}, {"seed": True}):
+        with pytest.raises(DomainError, match=next(iter(bad))):
+            audit_properties(K5, 2, **bad)
+
+
 def test_audit_rejects_sample_budget_below_one():
     # checked on every graph, not only where the sampled audit runs
     for g in (C4, Graph(40, list(itertools.combinations(range(40), 2)))):

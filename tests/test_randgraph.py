@@ -105,6 +105,25 @@ def test_seeds_must_be_integers():
     assert make_rng(np.int64(-1)).random() == make_rng(2**64 - 1).random()
 
 
+def test_booleans_are_not_seeds_or_reals():
+    # True once ran as seed 1 and as c = 1.0
+    for call in (lambda s: make_rng(s), lambda s: spawn_seed(s, "x"),
+                 lambda s: spawn_seed(0, "x", s),
+                 lambda s: sample_configuration([1, 1], s),
+                 lambda s: gen_gnp(10, 3.0, s)):
+        for bad in (True, False):
+            with pytest.raises(DomainError, match="must be an integer"):
+                call(bad)
+    for bad in (True, False):
+        with pytest.raises(DomainError, match="c must be a real number"):
+            gen_gnp(10, bad, 0)
+    # the seed is checked before the p = 0 and p = 1 shortcuts, which once
+    # returned the empty graph and K4 without reading it
+    for c in (0.0, 10.0, 3.0):
+        with pytest.raises(DomainError, match="seed"):
+            gen_gnp(4, c, "abc")
+
+
 def test_pair_index_decode_exhaustive():
     # the skip sampler stands on this decode; check every index directly
     for n in (2, 3, 5, 17, 40):
@@ -297,6 +316,23 @@ def test_projection_degree_conservation():
         )
         assert g.m + loops + multis == int(degrees.sum()) // 2
         assert mg.is_simple() == (loops == 0 and multis == 0)
+
+
+def test_mask_arguments_must_be_boolean_masks():
+    # ids were once read as a mask: [1, 0] kept vertex 0 alone, and on the
+    # path 0-1-2 the ids [0, 2, 0] counted [2, 0, 2]; a short mask raised
+    # a bare IndexError
+    edge, path = Graph(2, [(0, 1)]), Graph(3, [(0, 1), (1, 2)])
+    for g in (edge, path):
+        for bad in ([1, 0], np.array([0, 2, 0]), np.ones(g.n - 1, dtype=bool),
+                    np.ones(g.n + 1, dtype=bool), [True] * g.n,
+                    np.ones((g.n, 1), dtype=bool)):
+            with pytest.raises(DomainError, match="keep"):
+                g.induced_subgraph(bad)
+            with pytest.raises(DomainError, match="mask"):
+                g.neighbors_in(bad)
+    assert path.neighbors_in(np.array([True, False, True])).tolist() == [0, 2, 0]
+    assert edge.induced_subgraph(np.array([False, True]))[1].tolist() == [1]
 
 
 def test_multigraph_from_pairs():
