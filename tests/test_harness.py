@@ -122,11 +122,13 @@ def test_pipeline_precondition_errors():
         run_pipeline(10, 1.0, 3, seed=0, mode="bogus")
     # the checks ScanConfig.validate makes, before any stage runs
     for args, what in (((10, float("nan"), 3), "c"), ((10.5, 1.0, 3), "n"),
-                       ((10, 1.0, 2.5), "k"), ((10, float("inf"), 3), "c")):
+                       ((10, 1.0, 2.5), "k"), ((10, float("inf"), 3), "c"),
+                       ((10, True, 3), "c")):
         with pytest.raises(DomainError, match=what):
             run_pipeline(*args, seed=0)
-    with pytest.raises(DomainError, match="seed"):
-        run_pipeline(10, 1.0, 3, seed=1.5)
+    for seed in (1.5, True):
+        with pytest.raises(DomainError, match="seed"):
+            run_pipeline(10, 1.0, 3, seed=seed)
     for beta in (float("nan"), "0.1"):
         with pytest.raises(DomainError, match="beta"):
             run_pipeline(10, 1.0, 3, seed=0, beta_override=beta)
@@ -135,17 +137,6 @@ def test_pipeline_precondition_errors():
     # seeds of any sign and up to 64 unsigned bits run
     for seed in (-1, 2**64 - 1):
         assert run_pipeline(10, 1.0, 3, seed=seed).error == ""
-
-
-def test_pipeline_rejects_boolean_c_and_seed():
-    # True once ran as c = 1.0 and as seed 1
-    with pytest.raises(DomainError, match="c must be a real number"):
-        run_pipeline(200, True, 3, 1)
-    with pytest.raises(DomainError, match="seed"):
-        run_pipeline(200, 1.0, 3, True)
-    with pytest.raises(DomainError, match="c_from"):
-        ScanConfig(k=3, n=50, c_from=True, c_to=2.0, steps=2, trials=1,
-                   base_seed=0).validate()
 
 
 def test_multigraph_mode_runs():
@@ -401,8 +392,10 @@ def test_scan_validation():
         with pytest.raises(DomainError):
             scan(ScanConfig(**{**base, "k": k}))
     # densities and beta must be numbers, not strings that look like them
+    # nor booleans
     for field, value in (("c_from", "1"), ("c_to", "2.0"),
-                         ("beta_override", "0.1")):
+                         ("beta_override", "0.1"), ("c_from", True),
+                         ("beta_override", True)):
         with pytest.raises(DomainError, match=field):
             scan(ScanConfig(**{**base, field: value}))
     with pytest.raises(DomainError, match="beta"):

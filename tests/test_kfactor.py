@@ -979,11 +979,13 @@ def test_audit_guards():
         audit_properties(Graph.from_pairs(2, [(0, 1), (0, 1)]), 1)
     with pytest.raises(DomainError, match="sample_budget"):
         audit_properties(C4, 2, sample_budget=200.5)
-    with pytest.raises(DomainError, match="seed"):
-        audit_properties(C4, 2, seed=1.5)
-    # a string once raised a bare TypeError; both are stored as floats, so
-    # a numpy float32 report writes its JSON
-    for bad in ({"epsilon0": "0.5"}, {"gamma": "0.1"}, {"gamma": None}):
+    for seed in (1.5, True):
+        with pytest.raises(DomainError, match="seed"):
+            audit_properties(C4, 2, seed=seed)
+    # a string once raised a bare TypeError and True ran as 1.0; both are
+    # stored as floats, so a numpy float32 report writes its JSON
+    for bad in ({"epsilon0": "0.5"}, {"gamma": "0.1"}, {"gamma": None},
+                {"epsilon0": True}, {"gamma": True}):
         with pytest.raises(DomainError):
             audit_properties(C4, 2, **bad)
     rep = audit_properties(C4, 2, epsilon0=np.float32(0.5), gamma=np.float32(0.1))
@@ -991,13 +993,6 @@ def test_audit_guards():
     # seeds of any sign and up to 64 unsigned bits pass
     for seed in (-1, 2**64 - 1):
         audit_properties(C4, 2, seed=seed)
-
-
-def test_audit_rejects_boolean_reals():
-    # True once ran as epsilon0 = gamma = 1.0
-    for bad in ({"epsilon0": True}, {"gamma": True}, {"seed": True}):
-        with pytest.raises(DomainError, match=next(iter(bad))):
-            audit_properties(K5, 2, **bad)
 
 
 def test_audit_rejects_sample_budget_below_one():
